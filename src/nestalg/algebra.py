@@ -30,13 +30,10 @@ from .operators import (
     canonicalize,
     entry,
     flatten_sum,
-    identity,
     interval_proj,
     op_product,
 )
-from .rules import exact_support
-
-SCAN_BUDGET = 512
+from .rules import exact_support, nonzero_indices
 
 
 def ambient_restrict(nest: Nest, T: OperatorExpr) -> OperatorExpr:
@@ -66,15 +63,6 @@ class MembershipVerdict:
         return self.status == "Member"
 
 
-def _first_nonzero(rule, lo_hint: float, budget: int = SCAN_BUDGET):
-    """A concrete index where the rule is nonzero, or None within budget."""
-    start = int(lo_hint) if math.isfinite(lo_hint) else -budget // 2
-    for i in range(start, start + budget):
-        if rule.value(i) != 0.0:
-            return i
-    return None
-
-
 def _cut_between(nest: Nest, j: int, i: int) -> NestCut | None:
     """A cut c with j <= c < i, or None if the nest has no such cut."""
     if i <= j:
@@ -93,9 +81,10 @@ def _band_violation(nest: Nest, r, d: int):
     if sup.is_empty:
         return None, "empty rule support"
     if nest.is_all:
-        j = _first_nonzero(r, sup.lo)
-        if j is None:
+        hits = nonzero_indices(r, sup.lo)
+        if not hits:
             return None, "no nonzero rule value found within the scan budget"
+        j = hits[0]
         # cuts sit at every ambient integer; any one inside [j, j+d-1] works
         lo_cut = max(j, 0) if nest.basis == "N" else j
         if lo_cut <= j + d - 1:
@@ -132,26 +121,16 @@ def rank_one_membership(nest, e: RuledVector, f: RuledVector) -> MembershipVerdi
     if es.lo > pred.value:
         return MembershipVerdict("Member", reason=f"cut {n0} holds the range; {pred} misses the symbol")
     # NonMember: walk for a concrete strictly-lower corner entry
-    j = _first_nonzero(e.rule, es.lo)
-    if j is not None:
+    for j in nonzero_indices(e.rule, es.lo):
         c = nest.smallest_cut_geq(j)
         if math.isfinite(c.value):
-            i = _first_nonzero_after(f.rule, int(c.value) + 1, fs.hi)
-            if i is not None:
+            for i in nonzero_indices(f.rule, c.value + 1, stop=fs.hi):
                 val = e.value(j) * f.value(i)
                 if val != 0.0:
                     return MembershipVerdict(
                         "NonMember", MembershipWitness(c, i, j, val), "corner entry below a cut"
                     )
     return MembershipVerdict("Unknown", reason="criterion failed but no witness found in budget")
-
-
-def _first_nonzero_after(rule, start: int, hi: float, budget: int = SCAN_BUDGET):
-    stop = int(hi) if math.isfinite(hi) else start + budget
-    for i in range(start, min(stop, start + budget) + 1):
-        if rule.value(i) != 0.0:
-            return i
-    return None
 
 
 def alg_membership(nest, T: OperatorExpr) -> MembershipVerdict:
@@ -272,9 +251,3 @@ class MultiplicationTask:
 
     def is_zero_pair(self) -> bool:
         return isinstance(self.a, ZeroOp) or isinstance(self.b, ZeroOp)
-
-
-def identity_on(nest) -> OperatorExpr:
-    """Identity of the ambient space of the nest."""
-    nest = make_nest(nest)
-    return ambient_restrict(nest, identity())

@@ -43,16 +43,14 @@ from .operators import (
     canonicalize,
     entry,
     flatten_sum,
-    identity,
     interval_proj,
     norm_bound,
     op_product,
     render,
 )
-from .rules import exact_support
+from .rules import exact_support, nonzero_indices
 
 WALK_BUDGET = 64
-SCAN_BUDGET = 512
 INTERFERENCE_CAP = 1 << 16
 
 
@@ -65,19 +63,15 @@ def cut_proj(cut: NestCut) -> OperatorExpr:
     v = cut.value if isinstance(cut, NestCut) else float(cut)
     if v == NEG_INF:
         return ZERO
-    if v == POS_INF:
-        return identity()
-    return interval_proj(None, int(v))
+    return interval_proj(None, v)
 
 
 def cocut_proj(cut: NestCut) -> OperatorExpr:
     """Projection onto coordinates > cut value."""
     v = cut.value if isinstance(cut, NestCut) else float(cut)
-    if v == NEG_INF:
-        return identity()
     if v == POS_INF:
         return ZERO
-    return interval_proj(int(v), None)
+    return interval_proj(v, None)
 
 
 def compress_lower(T: OperatorExpr, cut) -> OperatorExpr:
@@ -88,11 +82,6 @@ def compress_lower(T: OperatorExpr, cut) -> OperatorExpr:
 def compress_upper(T: OperatorExpr, cut) -> OperatorExpr:
     p = cocut_proj(cut)
     return canonicalize(op_product(op_product(p, T), p))
-
-
-def lower_corner(T: OperatorExpr, cut) -> OperatorExpr:
-    """Strictly lower corner: rows above the cut, columns at or below it."""
-    return canonicalize(op_product(op_product(cocut_proj(cut), T), cut_proj(cut)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +276,6 @@ def _as_bounds(s):
     return (s.lo, s.hi)
 
 
-def _nonzero_indices(rule, lo_hint: float, count: int, budget: int = SCAN_BUDGET):
-    out = []
-    start = int(lo_hint) if math.isfinite(lo_hint) else -budget // 2
-    for i in range(start, start + budget):
-        if rule.value(i) != 0.0:
-            out.append(i)
-            if len(out) >= count:
-                break
-    return out
-
-
 def _interference_rows(parts) -> int:
     n = 0
     for p in parts:
@@ -321,7 +299,7 @@ def _col_probe_rows(parts, j: int) -> list:
         elif isinstance(p, RankOne):
             if p.e.value(j) != 0.0:
                 lo = p.f.rule.support.lo
-                rows.update(_nonzero_indices(p.f.rule, lo, need))
+                rows.update(nonzero_indices(p.f.rule, lo, need))
     return sorted(rows)
 
 
@@ -339,7 +317,7 @@ def _row_probe_cols(parts, i: int) -> list:
         elif isinstance(p, RankOne):
             if p.f.value(i) != 0.0:
                 lo = p.e.rule.support.lo
-                cols.update(_nonzero_indices(p.e.rule, lo, need))
+                cols.update(nonzero_indices(p.e.rule, lo, need))
     return sorted(cols)
 
 
@@ -479,7 +457,7 @@ def default_window(nest: Nest, half: int = 32):
     return (-half, half)
 
 
-def ess_norm_proxy(nest, T: OperatorExpr, windows=(128, 256, 512), k: int = 10, seed: int = 0) -> dict:
+def ess_norm_proxy(nest, T: OperatorExpr, windows=(128, 256, 512), k: int = 10) -> dict:
     """Windowed singular-value trend as advisory evidence only.
 
     The probed index grows with the window (k_w = max(k, w // 8)); for a
@@ -494,7 +472,7 @@ def ess_norm_proxy(nest, T: OperatorExpr, windows=(128, 256, 512), k: int = 10, 
         lo, hi = (1, w) if nest.basis == "N" else (-(w // 2), w - w // 2)
         kw = max(k, w // 8)
         M = render(T, lo, hi)
-        s = singular_values(M, kw, seed=seed)
+        s = singular_values(M, kw)
         sigmas.append(float(s[-1]) if s.size else 0.0)
         used.append([lo, hi])
         ks.append(kw)

@@ -223,24 +223,6 @@ def certificate_check(task: MultiplicationTask, cert: SubseqCertificate, atol: f
     return ok, rows
 
 
-def subselect(cert: SubseqCertificate, keep) -> SubseqCertificate:
-    """Restrict a certificate to a subset of its positions (order kept)."""
-    keep = sorted(set(keep))
-    if not keep or keep[-1] >= cert.size:
-        raise MalformedSpec(f"positions out of range: {keep!r}")
-    lam = tuple(tuple(cert.lam[p][q] for q in keep) for p in keep)
-    mu = tuple(tuple(cert.mu[p][q] for q in keep) for p in keep)
-    return SubseqCertificate(
-        eps=cert.eps,
-        window=cert.window,
-        col_indices=tuple(cert.col_indices[p] for p in keep),
-        row_indices=tuple(cert.row_indices[p] for p in keep),
-        lam=lam,
-        mu=mu,
-        values=tuple(_values_from_tables(lam, mu)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # refuting finite two-sided representations
 

@@ -52,6 +52,7 @@ from .operators import (
     finite_matrix,
     flatten_sum,
     identity,
+    interval_proj,
     norm_bound,
     op_product,
     operator_to_json,
@@ -59,19 +60,9 @@ from .operators import (
     render,
     row_support,
 )
-from .rules import rule_geometric
+from .rules import SCAN_BUDGET, bound_to_json, rule_geometric
 
 EPS_SCHEDULE = tuple(0.5**k for k in range(0, 21))
-ROW_SCAN_BUDGET = 512
-
-
-def cut_json(c: NestCut):
-    v = c.value if isinstance(c, NestCut) else float(c)
-    if v == POS_INF:
-        return "inf"
-    if v == NEG_INF:
-        return "-inf"
-    return int(v)
 
 
 def _interval_json(iv: NormInterval) -> dict:
@@ -98,14 +89,14 @@ class MultVerdict:
 # zero test
 
 
-def _first_nonzero_row_above(b: OperatorExpr, floor: float, budget: int = ROW_SCAN_BUDGET):
+def _first_nonzero_row_above(b: OperatorExpr, floor: float):
     """A row index i > floor where b has a verified nonzero entry."""
     from .compactness import _row_probe_cols  # shared probe machinery
 
     C = canonicalize(b)
     parts = flatten_sum(C)
-    start = int(floor) + 1 if math.isfinite(floor) else int(row_support(C).lo) if math.isfinite(row_support(C).lo) else -budget // 2
-    for i in range(start, start + budget):
+    start = int(floor) + 1 if math.isfinite(floor) else int(row_support(C).lo) if math.isfinite(row_support(C).lo) else -SCAN_BUDGET // 2
+    for i in range(start, start + SCAN_BUDGET):
         for j in _row_probe_cols(parts, i):
             v = entry(C, i, j)
             if v != 0.0:
@@ -119,7 +110,7 @@ def mult_zero_test(task: MultiplicationTask) -> MultVerdict:
         r, q = boundary_rq(task)
     except UndecidableBoundary as exc:
         return MultVerdict("zero", "Unknown", f"boundary not certified: {exc}")
-    detail = {"annihilator_cut": cut_json(r), "range_cover_cut": cut_json(q)}
+    detail = {"annihilator_cut": bound_to_json(r.value), "range_cover_cut": bound_to_json(q.value)}
     if q.value <= r.value:
         return MultVerdict(
             "zero", "Zero", "the range cover cut sits at or below the annihilator cut", detail
@@ -148,7 +139,7 @@ def mult_zero_test(task: MultiplicationTask) -> MultVerdict:
         hi0 = col_support(ca).hi
         start = min(ib, int(hi0)) if math.isfinite(hi0) else ib
         parts = flatten_sum(ca)
-        for j in range(start, start - ROW_SCAN_BUDGET, -1):
+        for j in range(start, start - SCAN_BUDGET, -1):
             hit = next((
                 (j, i, entry(ca, i, j))
                 for i in _col_probe_rows(parts, j)
@@ -236,7 +227,7 @@ def mult_compact_decision(task: MultiplicationTask) -> MultVerdict:
             "compact",
             "Compact",
             "the induced map is zero",
-            {"annihilator_cut": cut_json(r), "range_cover_cut": cut_json(q)},
+            {"annihilator_cut": bound_to_json(r.value), "range_cover_cut": bound_to_json(q.value)},
         )
     try:
         av = _a_side_verdict(task, q)
@@ -244,8 +235,8 @@ def mult_compact_decision(task: MultiplicationTask) -> MultVerdict:
     except UndecidableBoundary as exc:
         return MultVerdict("compact", "Unknown", str(exc))
     detail = {
-        "annihilator_cut": cut_json(r),
-        "range_cover_cut": cut_json(q),
+        "annihilator_cut": bound_to_json(r.value),
+        "range_cover_cut": bound_to_json(q.value),
         "a_side": _verdict_json(av),
         "b_side": _verdict_json(bv),
     }
@@ -305,7 +296,7 @@ def _right_tail_obstruction(task: MultiplicationTask, s: NestCut) -> NormInterva
     succ = nest.succ(s)
     if succ.value > s.value:
         lo_c, hi_c = s.value, succ.value
-        block = op_product(task.a, _interval_block(lo_c, hi_c))
+        block = op_product(task.a, interval_proj(lo_c, hi_c))
         if _is_zero_block(block):
             return NormInterval(0.0, 0.0)
         return _block_norm(nest, block, lo_anchor=s.value + 1)
@@ -319,20 +310,12 @@ def _left_tail_obstruction(task: MultiplicationTask, s: NestCut) -> NormInterval
     nest = task.nest
     pred = nest.pred(s)
     if pred.value < s.value:
-        block = op_product(_interval_block(pred.value, s.value), task.b)
+        block = op_product(interval_proj(pred.value, s.value), task.b)
         if _is_zero_block(block):
             return NormInterval(0.0, 0.0)
         return _block_norm(nest, block, hi_anchor=s.value)
     # s is a limit from below (the top of an all-integer nest)
     return limit_restricted_norm(task.b, "row", +1)
-
-
-def _interval_block(lo_cut_value: float, hi_cut_value: float) -> OperatorExpr:
-    from .operators import interval_proj
-
-    lo = None if lo_cut_value == NEG_INF else int(lo_cut_value)
-    hi = None if hi_cut_value == POS_INF else int(hi_cut_value)
-    return interval_proj(lo, hi)
 
 
 def mult_weak_decision(task: MultiplicationTask) -> MultVerdict:
@@ -351,7 +334,7 @@ def mult_weak_decision(task: MultiplicationTask) -> MultVerdict:
         l = meet_of_compact_upper_corners(task.nest, task.b)
     except UndecidableBoundary as exc:
         return MultVerdict("weak", "Unknown", f"compact boundary not certified: {exc}")
-    detail = {"upper_join": cut_json(u), "lower_meet": cut_json(l)}
+    detail = {"upper_join": bound_to_json(u.value), "lower_meet": bound_to_json(l.value)}
     if u.value > l.value:
         detail["case"] = "boundaries-separated"
         return MultVerdict(
@@ -365,7 +348,7 @@ def mult_weak_decision(task: MultiplicationTask) -> MultVerdict:
     s = u
     av = classify_compact(compress_lower(task.a, s))
     bv = classify_compact(compress_upper(task.b, s))
-    detail["common_cut"] = cut_json(s)
+    detail["common_cut"] = bound_to_json(s.value)
     detail["a_corner"] = _verdict_json(av)
     detail["b_corner"] = _verdict_json(bv)
     if av.status == "Unknown" or bv.status == "Unknown":
@@ -417,7 +400,7 @@ def _min_interval(a: NormInterval, b: NormInterval) -> NormInterval:
 def _pair_obstruction(task: MultiplicationTask, p1: NestCut, p2: NestCut) -> NormInterval:
     """min(||a (P2 - P1)||, ||(P2 - P1) b||) for one admissible pair."""
     nest = task.nest
-    block = _interval_block(p1.value, p2.value)
+    block = interval_proj(p1.value, p2.value)
     a_block = op_product(task.a, block)
     b_block = op_product(block, task.b)
     a_iv = (
@@ -500,7 +483,7 @@ def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
         b_cuts = b_set["cuts"]
         common = {c.value for c in a_cuts} & {c.value for c in b_cuts}
         if common:
-            detail["pair"] = {"p1": cut_json(NestCut(max(common))), "p2": cut_json(NestCut(max(common)))}
+            detail["pair"] = {"p1": bound_to_json(max(common)), "p2": bound_to_json(max(common))}
             return MultVerdict(
                 "weak2", "WeaklyCompact", "a common cut has both compressions compact", detail
             )
@@ -509,7 +492,7 @@ def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
                 if p1.value <= p2.value:
                     families.append(
                         (
-                            {"p1": cut_json(p1), "p2": cut_json(p2)},
+                            {"p1": bound_to_json(p1.value), "p2": bound_to_json(p2.value)},
                             _pair_obstruction(task, p1, p2),
                         )
                     )

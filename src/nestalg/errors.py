@@ -41,20 +41,8 @@ class UndecidableBoundary(NestAlgError):
     """A compression needed for a boundary projection classified Unknown."""
 
 
-class UndecidableTail(NestAlgError):
-    """A tail norm or limit value could not be certified either way."""
-
-
-class NotNonCompact(NestAlgError):
-    """A noncompactness certificate was requested for a compact operator."""
-
-
 class WitnessBudgetExhausted(NestAlgError):
     """Witness search ran out of candidates within its index budget."""
-
-
-class BudgetExhausted(NestAlgError):
-    """An iterative search hit its step budget without a verdict."""
 
 
 class BlockTooSmall(NestAlgError):
@@ -63,7 +51,3 @@ class BlockTooSmall(NestAlgError):
 
 class NotInAlgebra(NestAlgError):
     """Operator fails the block upper-triangularity test for the nest."""
-
-
-class ConfigError(NestAlgError):
-    """A scenario or CLI config is inconsistent."""

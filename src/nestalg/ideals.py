@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedSpec
-from .nests import NEG_INF, POS_INF, Nest, NestCut, make_nest
+from .nests import POS_INF, Nest, NestCut, make_nest
 from .numerics import NormInterval, matrix_upper_bounds, power_norm
 from .operators import (
     ZERO,
@@ -40,6 +40,7 @@ from .operators import (
     render,
 )
 from .compactness import classify_compact, cocut_proj
+from .rules import bound_to_json
 
 DIAG_SCAN_HALF = 256
 
@@ -76,20 +77,14 @@ class FiniteSubnest:
         return set(other.values) <= set(self.values)
 
     def to_json(self):
-        return [v if math.isfinite(v) else ("inf" if v > 0 else "-inf") for v in self.values]
-
-
-def _atom_proj(lo: float, hi: float) -> OperatorExpr:
-    lo_i = None if lo == NEG_INF else int(lo)
-    hi_i = None if hi == POS_INF else int(hi)
-    return interval_proj(lo_i, hi_i)
+        return [bound_to_json(v) for v in self.values]
 
 
 def diag_expectation(a: OperatorExpr, f: FiniteSubnest) -> OperatorExpr:
     """Block-diagonal compression onto the atoms of the subnest."""
     terms = []
     for lo, hi in f.atoms():
-        p = _atom_proj(lo, hi)
+        p = interval_proj(lo, hi)
         terms.append(op_product(op_product(p, a), p))
     return canonicalize(op_sum(*terms))
 
@@ -98,7 +93,7 @@ def staircase_rest(a: OperatorExpr, f: FiniteSubnest) -> OperatorExpr:
     """Sum of atom-row blocks strictly to the right of each atom."""
     terms = []
     for lo, hi in f.atoms():
-        p = _atom_proj(lo, hi)
+        p = interval_proj(lo, hi)
         terms.append(op_product(op_product(p, a), cocut_proj(NestCut(hi))))
     return canonicalize(op_sum(*terms))
 
@@ -117,7 +112,7 @@ def reconstruction_residual(a: OperatorExpr, f: FiniteSubnest, window) -> float:
 
 def _atom_norm(a: OperatorExpr, lo: float, hi: float, cap: int = 256, iters: int = 200) -> NormInterval:
     """Norm interval of one diagonal block."""
-    p = _atom_proj(lo, hi)
+    p = interval_proj(lo, hi)
     block = canonicalize(op_product(op_product(p, a), p))
     if isinstance(block, ZeroOp):
         return NormInterval(0.0, 0.0)
@@ -302,7 +297,5 @@ def compact_members_ideal_report(nest) -> dict:
     if admissible_desc is not None:
         out["admissible_corner_cuts"] = admissible_desc
     else:
-        out["admissible_corner_cuts"] = [
-            v if math.isfinite(v) else ("inf" if v > 0 else "-inf") for v in admissible
-        ]
+        out["admissible_corner_cuts"] = [bound_to_json(v) for v in admissible]
     return out

@@ -187,21 +187,6 @@ class Nest:
 
     # -- interval enumeration ------------------------------------------------
 
-    def open_interval_is_infinite(self, lo, hi) -> bool:
-        lo_v, hi_v = self.as_cut(lo).value, self.as_cut(hi).value
-        if self.cut_values is not None or lo_v >= hi_v:
-            return False
-        return lo_v == NEG_INF or hi_v == POS_INF
-
-    def open_interval(self, lo, hi) -> list:
-        """Cuts strictly between lo and hi; only for finite intervals."""
-        lo_v, hi_v = self.as_cut(lo).value, self.as_cut(hi).value
-        if self.open_interval_is_infinite(lo, hi):
-            raise ValueError("open interval has infinitely many cuts")
-        if self.cut_values is not None:
-            return [NestCut(v) for v in self.cut_values if lo_v < v < hi_v]
-        return [NestCut(float(v)) for v in range(int(lo_v) + 1, int(hi_v))]
-
     def interior_values(self) -> list:
         """Finite cut values above bottom, for explicit cut sets only."""
         if self.cut_values is None:

@@ -28,18 +28,27 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import SchemaError, UnboundedRule, WindowTooLarge
 from .rules import (
+    BOUND,
     EMPTY_SUPPORT,
+    INT,
     NEG_INF,
+    NUMBER,
     ONE_RULE,
     POS_INF,
+    RULE,
+    Codec,
+    Field,
+    Row,
+    Schema,
     SeqRule,
     Support,
+    from_schema,
     rule_const,
     rule_finite,
     rule_from_json,
@@ -49,6 +58,7 @@ from .rules import (
     rule_shift,
     rule_sum,
     rule_to_json,
+    to_schema,
 )
 
 RENDER_CAP = 4096  # hard cap on one side of a rendering window
@@ -143,6 +153,10 @@ class SumOp(OperatorExpr):
     left: OperatorExpr
     right: OperatorExpr
 
+    @property
+    def terms(self) -> list:
+        return flatten_sum(self)
+
 
 @dataclass(frozen=True)
 class ScaleOp(OperatorExpr):
@@ -171,7 +185,10 @@ def identity() -> OperatorExpr:
 
 
 def interval_proj(lo, hi) -> OperatorExpr:
-    """Projection onto basis indices i with lo < i <= hi (cut semantics)."""
+    """Projection onto basis indices i with lo < i <= hi (cut semantics).
+
+    An open end is None or the infinite cut on its side.
+    """
     lo_v = NEG_INF if lo is None else float(lo)
     hi_v = POS_INF if hi is None else float(hi)
     ind_lo = None if lo_v == NEG_INF else int(lo_v) + 1
@@ -747,78 +764,41 @@ def op_adjoint_safe(T: OperatorExpr) -> OperatorExpr:
 
 
 def parse_operator(doc) -> OperatorExpr:
-    if not isinstance(doc, dict) or "op" not in doc:
-        raise SchemaError(f"operator document must be a dict with an 'op': {doc!r}")
-    op = doc["op"]
-    if op == "zero":
-        return ZERO
-    if op == "identity":
-        return identity()
-    if op == "diag":
-        return diag(rule_from_json(doc.get("rule")))
-    if op == "rank_one":
-        e = make_vector(rule_from_json(doc.get("e")))
-        f = make_vector(rule_from_json(doc.get("f")))
-        return rank_one(e, f)
-    if op == "wshift":
-        return wshift(rule_from_json(doc.get("rule")), doc.get("direction", "lower"))
-    if op == "interval_proj":
-        lo = doc.get("lo")
-        hi = doc.get("hi")
-        lo = None if lo in (None, "-inf") else int(lo)
-        hi = None if hi in (None, "inf", "+inf") else int(hi)
-        return interval_proj(lo, hi)
-    if op == "sum":
-        if "terms" in doc:
-            return op_sum(*(parse_operator(t) for t in doc["terms"]))
-        return op_sum(parse_operator(doc.get("left")), parse_operator(doc.get("right")))
-    if op == "scale":
-        if "scalar" not in doc:
-            raise SchemaError("scale needs 'scalar'")
-        return op_scale(doc["scalar"], parse_operator(doc.get("x")))
-    if op == "product":
-        if "factors" in doc:
-            fs = [parse_operator(t) for t in doc["factors"]]
-            if not fs:
-                raise SchemaError("product needs at least one factor")
-            out = fs[0]
-            for t in fs[1:]:
-                out = op_product(out, t)
-            return out
-        return op_product(parse_operator(doc.get("left")), parse_operator(doc.get("right")))
-    if op == "adjoint":
-        return op_adjoint(parse_operator(doc.get("x")))
-    if op == "finite_matrix":
-        if "entries" not in doc:
-            raise SchemaError("finite_matrix needs 'entries'")
-        return finite_matrix(doc.get("row_lo", 1), doc.get("col_lo", 1), doc["entries"])
-    raise SchemaError(f"unknown operator kind {op!r}")
+    return from_schema(OPERATOR_SCHEMA, doc)
 
 
 def operator_to_json(T: OperatorExpr) -> dict:
-    if isinstance(T, ZeroOp):
-        return {"op": "zero"}
-    if isinstance(T, Band):
-        if T.offset == 0:
-            return {"op": "diag", "rule": rule_to_json(T.rule)}
-        if T.offset == -1:
-            return {"op": "wshift", "rule": rule_to_json(T.rule), "direction": "lower"}
-        if T.offset == 1:
-            return {"op": "wshift", "rule": rule_to_json(T.rule), "direction": "raise"}
-        return {"op": "band", "rule": rule_to_json(T.rule), "offset": T.offset}
-    if isinstance(T, RankOne):
-        return {"op": "rank_one", "e": rule_to_json(T.e.rule), "f": rule_to_json(T.f.rule)}
-    if isinstance(T, FiniteMatrix):
-        return {
-            "op": "finite_matrix",
-            "row_lo": T.row_lo,
-            "col_lo": T.col_lo,
-            "entries": [list(r) for r in T.rows],
-        }
-    if isinstance(T, SumOp):
-        return {"op": "sum", "terms": [operator_to_json(t) for t in flatten_sum(T)]}
-    if isinstance(T, ScaleOp):
-        return {"op": "scale", "scalar": T.scalar, "x": operator_to_json(T.x)}
-    if isinstance(T, ProductOp):
-        return {"op": "product", "left": operator_to_json(T.left), "right": operator_to_json(T.right)}
-    raise SchemaError(f"cannot serialize {T!r}")
+    return to_schema(OPERATOR_SCHEMA, T)
+
+
+def _product_of(factors) -> OperatorExpr:
+    if not factors:
+        raise SchemaError("product needs at least one factor")
+    return reduce(op_product, factors)
+
+
+OPERATOR = Codec(parse_operator, operator_to_json)
+OPERATORS = Codec(lambda docs: [parse_operator(d) for d in docs], lambda ts: [operator_to_json(t) for t in ts])
+VECTOR = Codec(lambda doc: make_vector(rule_from_json(doc)), lambda v: rule_to_json(v.rule))
+ROWS = Codec(list, lambda rows: [list(r) for r in rows])
+TEXT = Codec(str, str)
+
+# diag, wshift, identity, interval_proj and adjoint are read only: every
+# band is written as `band`, and the others build bands or push adjoints down
+OPERATOR_SCHEMA = Schema("op", "operator", (
+    Row("zero", ZeroOp, lambda: ZERO),
+    Row("identity", None, identity),
+    Row("diag", None, diag, (Field("rule", RULE),)),
+    Row("wshift", None, wshift, (Field("rule", RULE), Field("direction", TEXT, "lower"))),
+    Row("band", Band, band, (Field("rule", RULE), Field("offset", INT))),
+    Row("interval_proj", None, interval_proj, (Field("lo", BOUND, None), Field("hi", BOUND, None))),
+    Row("rank_one", RankOne, rank_one, (Field("e", VECTOR), Field("f", VECTOR))),
+    Row("finite_matrix", FiniteMatrix, finite_matrix,
+        (Field("row_lo", INT, 1), Field("col_lo", INT, 1), Field("entries", ROWS, attr="rows"))),
+    Row("sum", SumOp, lambda terms: op_sum(*terms), (Field("terms", OPERATORS),)),
+    Row("sum", None, op_sum, (Field("left", OPERATOR), Field("right", OPERATOR))),
+    Row("scale", ScaleOp, op_scale, (Field("scalar", NUMBER), Field("x", OPERATOR))),
+    Row("product", None, _product_of, (Field("factors", OPERATORS),)),
+    Row("product", ProductOp, op_product, (Field("left", OPERATOR), Field("right", OPERATOR))),
+    Row("adjoint", None, op_adjoint, (Field("x", OPERATOR),)),
+))

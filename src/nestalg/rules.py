@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import SchemaError, UnboundedRule, UnknownSupport
 
@@ -877,6 +878,25 @@ def rule_sum(a: SeqRule, b: SeqRule) -> SeqRule:
     return SumRule(a, b)
 
 
+SCAN_BUDGET = 512  # indices one nonzero scan may visit
+
+
+def nonzero_indices(rule: SeqRule, start: float, count: int = 1, stop: float = POS_INF) -> list:
+    """Up to `count` indices i in [start, stop] where the rule is nonzero.
+
+    At most SCAN_BUDGET indices are visited; an infinite start begins the
+    scan at -SCAN_BUDGET // 2.
+    """
+    first = int(start) if math.isfinite(start) else -SCAN_BUDGET // 2
+    out = []
+    for i in range(first, int(min(stop, first + SCAN_BUDGET - 1)) + 1):
+        if rule.value(i) != 0.0:
+            out.append(i)
+            if len(out) >= count:
+                break
+    return out
+
+
 def exact_support(rule: SeqRule, scan_budget: int = 64) -> Support:
     """Support with certified-attained endpoints; raises when uncertifiable."""
     sup = rule.support
@@ -893,8 +913,9 @@ def exact_support(rule: SeqRule, scan_budget: int = 64) -> Support:
                 if rule.value(i) != 0.0:
                     return float(i)
             raise UnknownSupport(f"could not certify a support endpoint of {rule!r}")
-        ts = rule.tail_sup(direction)
-        if ts > 0 and rule.infinite_plateau(ts / 2.0, direction):
+        # the infinite end lies against the inward scan direction
+        ts = rule.tail_sup(-direction)
+        if ts > 0 and rule.infinite_plateau(ts / 2.0, -direction):
             return start
         raise UnknownSupport(f"could not certify the infinite support end of {rule!r}")
 
@@ -908,86 +929,130 @@ def exact_support(rule: SeqRule, scan_budget: int = 64) -> Support:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization: one kind table per grammar, read and written by one walker
 
 _INF_STRINGS = {"inf": POS_INF, "+inf": POS_INF, "-inf": NEG_INF}
+_REQUIRED = object()
 
 
-def _parse_bound(x):
-    if x is None:
-        return None
-    if isinstance(x, str):
-        if x in _INF_STRINGS:
-            return _INF_STRINGS[x]
-        raise SchemaError(f"bad interval bound {x!r}")
-    if isinstance(x, (int, float)) and not isinstance(x, bool):
-        return x
-    raise SchemaError(f"bad interval bound {x!r}")
-
-
-def rule_from_json(doc) -> SeqRule:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise SchemaError(f"rule document must be a dict with a 'kind': {doc!r}")
-    kind = doc["kind"]
-    if kind == "const":
-        if "c" not in doc:
-            raise SchemaError("const rule needs 'c'")
-        return rule_const(doc["c"])
-    if kind == "harmonic":
-        return rule_harmonic()
-    if kind == "geometric":
-        if "r" not in doc:
-            raise SchemaError("geometric rule needs 'r'")
-        return rule_geometric(doc["r"])
-    if kind == "finite":
-        if "table" not in doc or not isinstance(doc["table"], dict):
-            raise SchemaError("finite rule needs a 'table' dict")
-        return rule_finite(doc["table"])
-    if kind == "indicator":
-        return rule_indicator(_parse_bound(doc.get("lo")), _parse_bound(doc.get("hi")))
-    if kind == "shifted":
-        return rule_shift(rule_from_json(doc.get("base")), int(doc.get("offset", 0)))
-    if kind == "scaled":
-        return rule_scale(rule_from_json(doc.get("base")), float(doc.get("factor", 1.0)))
-    raise SchemaError(f"unknown rule kind {kind!r}")
-
-
-def _emit_bound(x: float):
-    if x == POS_INF:
-        return "inf"
-    if x == NEG_INF:
-        return "-inf"
+def bound_to_json(x: float):
+    """An interval end or cut value as JSON: an int, or "inf" / "-inf"."""
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
     return int(x)
 
 
+def bound_from_json(x):
+    """None (an open end), a number, or one of "inf", "+inf", "-inf"."""
+    if x is None or isinstance(x, (int, float)) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and x in _INF_STRINGS:
+        return _INF_STRINGS[x]
+    raise SchemaError(f"bad interval bound {x!r}")
+
+
+class Codec(NamedTuple):
+    load: Callable  # JSON value -> smart-constructor argument
+    dump: Callable  # node attribute -> JSON value
+
+
+class Field(NamedTuple):
+    key: str
+    codec: Codec
+    default: object = _REQUIRED  # used when the key is absent
+    attr: str = ""  # node attribute when it differs from the key
+
+
+class Row(NamedTuple):
+    """One spelling of a kind.
+
+    The smart constructor `build` receives the fields in order.  `cls` is
+    the node class the row writes, or None for a row that is only read.
+    A written row without fields stands for the one node `build()`
+    returns, so it is chosen only for that node.
+    """
+
+    kind: str
+    cls: type | None
+    build: Callable
+    fields: tuple = ()
+
+
+class Schema:
+    """A kind table; a kind may have several rows, tried in order when reading."""
+
+    def __init__(self, tag: str, noun: str, rows):
+        self.tag, self.noun = tag, noun
+        self.readers, self.writers = {}, {}
+        for row in rows:
+            self.readers.setdefault(row.kind, []).append(row)
+            if row.cls is not None:
+                self.writers.setdefault(row.cls, []).append((row, None if row.fields else row.build()))
+
+
+def from_schema(schema: Schema, doc):
+    """Build the node a document describes through its row's smart constructor."""
+    if not isinstance(doc, dict) or schema.tag not in doc:
+        raise SchemaError(f"{schema.noun} document must be a dict with a {schema.tag!r}: {doc!r}")
+    kind = doc[schema.tag]
+    rows = schema.readers.get(kind) if isinstance(kind, str) else None
+    if rows is None:
+        raise SchemaError(f"unknown {schema.noun} kind {kind!r}")
+    # the first row whose required keys are all present
+    row = next((r for r in rows if all(f.key in doc for f in r.fields if f.default is _REQUIRED)), rows[0])
+    args = []
+    for f in row.fields:
+        if f.key not in doc and f.default is _REQUIRED:
+            raise SchemaError(f"{kind} {schema.noun} needs {f.key!r}")
+        try:
+            args.append(f.codec.load(doc[f.key]) if f.key in doc else f.default)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"bad {f.key!r} in {kind} {schema.noun}: {exc}") from exc
+    return row.build(*args)
+
+
+def to_schema(schema: Schema, node) -> dict:
+    """The document of a node, written by the first row that matches it."""
+    for row, constant in schema.writers.get(type(node), ()):
+        if row.fields or node == constant:
+            doc = {schema.tag: row.kind}
+            for f in row.fields:
+                doc[f.key] = f.codec.dump(getattr(node, f.attr or f.key))
+            return doc
+    raise SchemaError(f"cannot serialize {schema.noun} {node!r}")
+
+
+def rule_from_json(doc) -> SeqRule:
+    return from_schema(RULE_SCHEMA, doc)
+
+
 def rule_to_json(rule: SeqRule) -> dict:
-    if isinstance(rule, ConstRule):
-        return {"kind": "const", "c": rule.c}
-    if isinstance(rule, PowerDecayRule):
-        if rule.p == 1.0:
-            return {"kind": "harmonic"}
-        return {"kind": "power", "p": rule.p}
-    if isinstance(rule, GeomDecayRule):
-        return {"kind": "geometric", "r": rule.r}
-    if isinstance(rule, FiniteRule):
-        return {"kind": "finite", "table": {str(j): v for j, v in rule.entries}}
-    if isinstance(rule, IndicatorRule):
-        return {"kind": "indicator", "lo": _emit_bound(rule.lo), "hi": _emit_bound(rule.hi)}
-    if isinstance(rule, CombRule):
-        return {"kind": "comb", "modulus": rule.modulus, "residue": rule.residue}
-    if isinstance(rule, ScaledRule):
-        return {"kind": "scaled", "base": rule_to_json(rule.base), "factor": rule.factor}
-    if isinstance(rule, ShiftedRule):
-        return {"kind": "shifted", "base": rule_to_json(rule.base), "offset": rule.offset}
-    if isinstance(rule, MaskedRule):
-        return {
-            "kind": "masked",
-            "base": rule_to_json(rule.base),
-            "lo": _emit_bound(rule.lo),
-            "hi": _emit_bound(rule.hi),
-        }
-    if isinstance(rule, ProductRule):
-        return {"kind": "product", "left": rule_to_json(rule.left), "right": rule_to_json(rule.right)}
-    if isinstance(rule, SumRule):
-        return {"kind": "sum", "left": rule_to_json(rule.left), "right": rule_to_json(rule.right)}
-    raise SchemaError(f"cannot serialize rule {rule!r}")
+    return to_schema(RULE_SCHEMA, rule)
+
+
+def _table_from_json(x) -> dict:
+    if not isinstance(x, dict):
+        raise SchemaError(f"finite rule needs a 'table' dict, got {x!r}")
+    return x
+
+
+NUMBER = Codec(float, float)
+INT = Codec(int, int)
+BOUND = Codec(bound_from_json, bound_to_json)
+RULE = Codec(rule_from_json, rule_to_json)
+TABLE = Codec(_table_from_json, lambda entries: {str(j): v for j, v in entries})
+
+RULE_SCHEMA = Schema("kind", "rule", (
+    Row("const", ConstRule, rule_const, (Field("c", NUMBER),)),
+    Row("harmonic", PowerDecayRule, rule_harmonic),
+    Row("power", PowerDecayRule, rule_power, (Field("p", NUMBER),)),
+    Row("geometric", GeomDecayRule, rule_geometric, (Field("r", NUMBER),)),
+    Row("finite", FiniteRule, rule_finite, (Field("table", TABLE, attr="entries"),)),
+    Row("indicator", IndicatorRule, rule_indicator, (Field("lo", BOUND, None), Field("hi", BOUND, None))),
+    Row("comb", CombRule, rule_comb, (Field("modulus", INT), Field("residue", INT))),
+    Row("scaled", ScaledRule, rule_scale, (Field("base", RULE), Field("factor", NUMBER, 1.0))),
+    Row("shifted", ShiftedRule, rule_shift, (Field("base", RULE), Field("offset", INT, 0))),
+    Row("masked", MaskedRule, rule_mask, (Field("base", RULE), Field("lo", BOUND, None), Field("hi", BOUND, None))),
+    Row("product", ProductRule, rule_product, (Field("left", RULE), Field("right", RULE))),
+    Row("sum", SumRule, rule_sum, (Field("left", RULE), Field("right", RULE))),
+))

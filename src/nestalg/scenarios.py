@@ -150,7 +150,7 @@ def random_member_pair(nest, rng, zero_bias: float = 0.3):
 # brute-force zero oracle
 
 
-def brute_force_zero(task: MultiplicationTask, half: int = 32, res: float = 1e-10) -> bool:
+def brute_force_zero(task: MultiplicationTask, half: int = 32, res: float = 0.0) -> bool:
     """True when every admissible rank-one input is annihilated on a window."""
     nest = task.nest
     lo, hi = (1, 2 * half) if nest.basis == "N" else (-half, half)

@@ -83,7 +83,7 @@ def test_zero_decision_matches_brute_force_sweep():
             undecided += 1
             continue
         zeros += v.status == "Zero"
-        if (v.status == "Zero") != brute_force_zero(task, half=32, res=1e-10):
+        if (v.status == "Zero") != brute_force_zero(task, half=32):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     print(f"zero sweep: {elapsed:.2f}s undecided={undecided} mismatches={mismatches} zeros={zeros}")

@@ -8,7 +8,6 @@ from nestalg.algebra import (
     MultiplicationTask,
     alg_membership,
     ambient_restrict,
-    identity_on,
     rank_one_membership,
 )
 from nestalg.nests import make_nest
@@ -83,15 +82,6 @@ def test_finite_matrix_upper_triangular_member(n_all):
     assert alg_membership(n_all, up).status == "Member"
     down = finite_matrix(1, 1, [[1.0, 0.0], [2.0, 3.0]])
     assert alg_membership(n_all, down).status == "NonMember"
-
-
-def test_identity_on_matches_basis(n_all, z_all):
-    i_n = identity_on(n_all)
-    # natural-number model starts at index 1
-    assert entry(i_n, 1, 1) == 1.0
-    assert entry(i_n, 0, 0) == 0.0
-    i_z = identity_on(z_all)
-    assert entry(i_z, -5, -5) == 1.0
 
 
 def test_ambient_restrict_masks_outside_basis(n_all):

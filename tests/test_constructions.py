@@ -13,7 +13,6 @@ from nestalg.constructions import (
     linf_embedding,
     representation_residual,
     stabilization_analysis,
-    subselect,
 )
 from nestalg.errors import BlockTooSmall, MalformedSpec, WitnessBudgetExhausted
 from nestalg.nests import make_nest
@@ -58,14 +57,6 @@ def test_forged_certificate_fails_recompute(id_task):
     assert not ok
     failing = {r["check"] for r in rows if not r["pass"]}
     assert "tables-recompute" in failing
-
-
-def test_subselect_preserves_validity(id_task):
-    cert = greedy_subsequence(id_task, 1.0, 12)
-    sub = subselect(cert, [0, 3, 7, 11])
-    assert sub.size == 4
-    ok, _ = certificate_check(id_task, sub)
-    assert ok
 
 
 def test_greedy_plateau_certificate(n_all):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from nestalg.numerics import (
     NormInterval,
-    gram_matrix,
     matrix_upper_bounds,
-    max_offdiag,
     op_norm,
     power_norm,
     singular_values,
 )
+from nestalg.operators import diag, render
+from nestalg.rules import rule_harmonic
 
 
 def random_matrix(rng, n=12):
@@ -63,6 +63,15 @@ def test_singular_values_rank_deficient():
     assert sv[1] <= 1e-6 * sv[0]
 
 
+def test_singular_values_are_lower_bounds():
+    # diag(1/i) on 1..256 has exactly the singular values 1, 1/2, 1/3, ...
+    M = render(diag(rule_harmonic()), 1, 256)
+    exact = 1.0 / np.arange(1.0, 33.0)
+    sv = singular_values(M, 32)
+    assert np.all(sv <= exact)
+    assert np.allclose(sv, exact, rtol=0.0, atol=1e-12)
+
+
 def test_matrix_upper_bounds_dominates_norm(rng):
     for _ in range(20):
         M = random_matrix(rng, n=8)
@@ -82,18 +91,6 @@ def test_op_norm_brackets_truth(rng):
 def test_norm_interval_width():
     ni = NormInterval(0.5, 1.5)
     assert ni.width == pytest.approx(1.0)
-
-
-def test_gram_matrix_entries():
-    V = np.array([[1.0, 0.0], [1.0, 1.0]])
-    G = gram_matrix(V)
-    assert np.allclose(G, V @ V.T)
-
-
-def test_max_offdiag_ignores_diagonal():
-    G = np.array([[5.0, 0.25], [0.25, 7.0]])
-    assert max_offdiag(G) == 0.25
-    assert max_offdiag(np.eye(3)) == 0.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,7 @@
 """Operator expressions: constructors, canonical forms, rendering, entries."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,11 @@ from nestalg.operators import (
     col_support,
     diag,
     entry,
+    OPERATOR_SCHEMA,
     finite_matrix,
     identity,
     interval_proj,
+    make_vector,
     norm_bound,
     op_adjoint,
     op_product,
@@ -32,11 +36,21 @@ from nestalg.operators import (
     wshift,
 )
 from nestalg.rules import (
+    RULE_SCHEMA,
+    rule_comb,
     rule_const,
     rule_finite,
+    rule_from_json,
     rule_geometric,
     rule_harmonic,
     rule_indicator,
+    rule_mask,
+    rule_power,
+    rule_product,
+    rule_scale,
+    rule_shift,
+    rule_sum,
+    rule_to_json,
 )
 
 
@@ -251,6 +265,123 @@ def test_json_round_trip_all_ops():
         M1 = dense(T, -8, 8)
         M2 = dense(again, -8, 8)
         assert np.array_equal(M1, M2), doc["op"]
+
+
+COMB = {"kind": "comb", "modulus": 2, "residue": 0}
+HARMONIC = {"kind": "harmonic"}
+
+# one document per row of the rule table
+RULE_DOCS = [
+    {"kind": "const", "c": -0.5},
+    HARMONIC,
+    {"kind": "power", "p": 2.0},
+    {"kind": "geometric", "r": -0.5},
+    {"kind": "finite", "table": {"-2": 1.5, "3": -1.0}},
+    {"kind": "indicator", "lo": "-inf", "hi": 4},
+    {"kind": "comb", "modulus": 3, "residue": 1},
+    {"kind": "scaled", "base": COMB, "factor": -0.75},
+    {"kind": "shifted", "base": HARMONIC, "offset": 2},
+    {"kind": "masked", "base": COMB, "lo": 1, "hi": "inf"},
+    {"kind": "product", "left": COMB, "right": HARMONIC},
+    {"kind": "sum", "left": COMB, "right": HARMONIC},
+]
+
+DIAG_H = {"op": "diag", "rule": HARMONIC}
+IDENTITY = {"op": "identity"}
+
+# one document per row of the operator table
+OPERATOR_DOCS = [
+    {"op": "zero"},
+    IDENTITY,
+    DIAG_H,
+    {"op": "wshift", "direction": "raise", "rule": {"kind": "geometric", "r": 0.5}},
+    {"op": "band", "rule": COMB, "offset": -2},
+    {"op": "interval_proj", "lo": 0, "hi": 4},
+    {"op": "rank_one", "e": {"kind": "finite", "table": {"2": 1.0}}, "f": {"kind": "geometric", "r": 0.5}},
+    {"op": "finite_matrix", "row_lo": -1, "col_lo": 2, "entries": [[1.0, 0.0], [2.0, -3.0]]},
+    {"op": "sum", "terms": [IDENTITY, DIAG_H, {"op": "band", "rule": COMB, "offset": 3}]},
+    {"op": "sum", "left": IDENTITY, "right": DIAG_H},
+    {"op": "scale", "scalar": 0.5, "x": {"op": "product", "left": DIAG_H, "right": IDENTITY}},
+    {"op": "product", "factors": [DIAG_H, IDENTITY, DIAG_H]},
+    {"op": "product", "left": DIAG_H, "right": IDENTITY},
+    {"op": "adjoint", "x": {"op": "wshift", "direction": "lower", "rule": COMB}},
+]
+
+
+@pytest.mark.parametrize(
+    "docs, parse, emit, schema",
+    [
+        (RULE_DOCS, rule_from_json, rule_to_json, RULE_SCHEMA),
+        (OPERATOR_DOCS, parse_operator, operator_to_json, OPERATOR_SCHEMA),
+    ],
+    ids=["rules", "operators"],
+)
+def test_every_schema_kind_round_trips(docs, parse, emit, schema):
+    nodes = [parse(doc) for doc in docs]
+    assert {doc[schema.tag] for doc in docs} == set(schema.readers)
+    assert {type(node) for node in nodes} >= set(schema.writers)
+    for doc, node in zip(docs, nodes):
+        assert parse(json.loads(json.dumps(emit(node)))) == node, doc
+
+
+def test_bands_are_written_as_band():
+    doc = operator_to_json(wshift(rule_harmonic(), "lower"))
+    assert doc == {"op": "band", "rule": {"kind": "harmonic"}, "offset": -1}
+
+
+ends = st.one_of(st.none(), st.integers(min_value=-6, max_value=6))
+atom_rules = st.one_of(
+    st.sampled_from([0.5, -1.25]).map(rule_const),
+    st.sampled_from([0.5, 1.0, 2.0]).map(rule_power),
+    st.sampled_from([0.5, -0.5]).map(rule_geometric),
+    st.dictionaries(st.integers(-6, 6), st.sampled_from([-1.0, 0.5]), min_size=1, max_size=3).map(rule_finite),
+    st.builds(rule_indicator, ends, ends),
+    st.builds(rule_comb, st.integers(2, 4), st.integers(0, 3)),
+)
+rules = st.recursive(
+    atom_rules,
+    lambda inner: st.one_of(
+        st.builds(rule_scale, inner, st.sampled_from([-0.5, 1.5])),
+        st.builds(rule_shift, inner, st.integers(-3, 3)),
+        st.builds(rule_mask, inner, ends, ends),
+        st.builds(rule_product, inner, inner),
+        st.builds(rule_sum, inner, inner),
+    ),
+    max_leaves=4,
+)
+# rank-one symbols are masked to a short window: square-summable, and
+# cheap to pair in canonicalize
+vectors = (
+    st.builds(lambda r, lo: rule_mask(r, lo, lo + 5), rules, st.integers(-6, 6))
+    .filter(lambda r: r.is_square_summable() is True)
+    .map(make_vector)
+)
+leaves = st.one_of(
+    st.builds(band, rules, st.integers(-3, 3)),
+    st.builds(rank_one, vectors, vectors),
+    st.builds(
+        finite_matrix,
+        st.integers(-4, 4),
+        st.integers(-4, 4),
+        st.lists(st.lists(st.sampled_from([0.0, 1.0, -0.5]), min_size=2, max_size=2), min_size=1, max_size=3),
+    ),
+)
+operators = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(lambda ts: op_sum(*ts)),
+        st.builds(op_product, inner, inner),
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operators)
+def test_canonical_forms_round_trip(T):
+    C = canonicalize(T)
+    again = parse_operator(json.loads(json.dumps(operator_to_json(C))))
+    assert np.array_equal(render(again, -12, 12), render(C, -12, 12))
 
 
 def test_parse_rejects_unknown_op():

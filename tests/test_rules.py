@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from nestalg.errors import SchemaError
 from nestalg.rules import (
+    Support,
     exact_support,
     rule_comb,
     rule_const,
@@ -141,11 +142,17 @@ def test_json_round_trip_spec_kinds():
             assert r2.value(i) == r.value(i)
 
 
-def test_internal_kinds_serialize_but_do_not_parse():
-    doc = rule_to_json(rule_comb(2, 0))
-    assert doc["kind"] == "comb"
-    with pytest.raises(SchemaError):
-        rule_from_json(doc)
+@pytest.mark.parametrize(
+    "rule, want",
+    [
+        (rule_mask(rule_comb(2, 0), 1, None), Support(2, math.inf, True)),
+        (rule_mask(rule_comb(2, 0), None, 3), Support(-math.inf, 2, True)),
+    ],
+    ids=["right-end", "left-end"],
+)
+def test_exact_support_certifies_one_sided_plateau(rule, want):
+    # the infinite end is reached against the direction of the inward scan
+    assert exact_support(rule) == want
 
 
 def test_unknown_kind_raises():

@@ -15,6 +15,8 @@ from nestalg.scenarios import (
 from nestalg.algebra import MultiplicationTask, alg_membership
 from nestalg.decisions import mult_zero_test
 from nestalg.nests import make_nest
+from nestalg.operators import diag, identity
+from nestalg.rules import rule_geometric, rule_mask
 
 import numpy as np
 
@@ -88,6 +90,15 @@ def test_brute_force_zero_agrees_with_decision():
         assert (decided.status == "Zero") == brute, (decided.status, brute)
         agreements += 1
     assert agreements >= 20
+
+
+def test_brute_force_zero_sees_geometric_tails():
+    # columns of a beyond 20 carry 0.25**j, far below any fixed threshold
+    nest = make_nest({"basis": "N", "cuts": "all"})
+    a = diag(rule_mask(rule_geometric(0.25), 20, None))
+    task = MultiplicationTask.build(nest, a, identity())
+    assert mult_zero_test(task).status == "NonZero"
+    assert brute_force_zero(task) is False
 
 
 def test_verify_suite_all_pass():
