@@ -72,6 +72,16 @@ class SubseqCertificate:
     mu: tuple
     values: tuple
 
+    def __post_init__(self):
+        k = len(self.col_indices)
+        lo, hi = self.window
+        if len(self.row_indices) != k or len(self.values) != k:
+            raise MalformedSpec(f"certificate of size {k} needs {k} row indices and {k} values")
+        if any(len(t) != k or any(len(r) != k for r in t) for t in (self.lam, self.mu)):
+            raise MalformedSpec(f"certificate tables must be {k} x {k}")
+        if any(not lo <= i <= hi for i in self.col_indices + self.row_indices):
+            raise MalformedSpec(f"certificate indices must lie in the window {self.window}")
+
     @property
     def size(self) -> int:
         return len(self.col_indices)
@@ -107,18 +117,14 @@ class SubseqCertificate:
         )
 
 
-def _pairing_tables(ma, mb, lo, cols, rows):
-    af = [ma[:, j - lo] for j in cols]
-    be = [mb[i - lo, :] for i in rows]
-    k = len(cols)
-    lam = [[float(np.dot(be[p], be[q])) for q in range(k)] for p in range(k)]
-    mu = [[float(np.dot(af[q], af[p])) for q in range(k)] for p in range(k)]
-    return lam, mu
+def _pairing_tables(af, be):
+    """lam and mu from the chosen right-factor rows be and left-factor
+    columns af, each stacked one vector per row."""
+    return be @ be.T, af @ af.T
 
 
 def _values_from_tables(lam, mu):
-    k = len(lam)
-    return [abs(sum(lam[p][q] * mu[p][q] for q in range(k))) for p in range(k)]
+    return np.abs((lam * mu).sum(axis=1))
 
 
 def greedy_subsequence(task: MultiplicationTask, eps: float, count: int, window=None) -> SubseqCertificate:
@@ -140,37 +146,37 @@ def greedy_subsequence(task: MultiplicationTask, eps: float, count: int, window=
         raise WitnessBudgetExhausted(
             f"no window column/row carries mass {eps} (window {window})"
         )
-    af = [ma[:, j - lo] for j, _ in cols[:pool]]
-    be = [mb[i - lo, :] for i, _ in rows[:pool]]
-
-    chosen = [0]  # first candidate, by contract
+    # the chosen columns of a and rows of b, one per row; a candidate is
+    # read from the rendered matrices, never copied until it is taken
+    af = np.empty((count, ma.shape[0]))
+    be = np.empty((count, mb.shape[1]))
+    af[0] = ma[:, cols[0][0] - lo]  # first candidate, by contract
+    be[0] = mb[rows[0][0] - lo]
+    chosen = [0]
     k = 1
     while len(chosen) < count and k < pool:
-        n_pos = len(chosen) + 1
-        thr = eps * eps / (3.0 * 2.0**n_pos)
-        ok = all(
-            abs(float(np.dot(af[m], af[k]))) < thr and abs(float(np.dot(be[m], be[k]))) < thr
-            for m in chosen
-        )
-        if ok:
+        n = len(chosen)
+        thr = eps * eps / (3.0 * 2.0 ** (n + 1))
+        a_k = ma[:, cols[k][0] - lo]
+        b_k = mb[rows[k][0] - lo]
+        if np.abs(af[:n] @ a_k).max() < thr and np.abs(be[:n] @ b_k).max() < thr:
+            af[n] = a_k
+            be[n] = b_k
             chosen.append(k)
         k += 1
     if len(chosen) < count:
         raise WitnessBudgetExhausted(
             f"pool of {pool} candidates yielded only {len(chosen)} of {count} picks"
         )
-    sel_cols = tuple(cols[k][0] for k in chosen)
-    sel_rows = tuple(rows[k][0] for k in chosen)
-    lam, mu = _pairing_tables(ma, mb, lo, sel_cols, sel_rows)
-    values = _values_from_tables(lam, mu)
+    lam, mu = _pairing_tables(af, be)
     return SubseqCertificate(
         eps=eps,
         window=tuple(window),
-        col_indices=sel_cols,
-        row_indices=sel_rows,
-        lam=tuple(tuple(r) for r in lam),
-        mu=tuple(tuple(r) for r in mu),
-        values=tuple(values),
+        col_indices=tuple(cols[k][0] for k in chosen),
+        row_indices=tuple(rows[k][0] for k in chosen),
+        lam=tuple(map(tuple, lam.tolist())),
+        mu=tuple(map(tuple, mu.tolist())),
+        values=tuple(_values_from_tables(lam, mu).tolist()),
     )
 
 
@@ -187,36 +193,34 @@ def certificate_check(task: MultiplicationTask, cert: SubseqCertificate, atol: f
 
     ma, mb = _rendered(task, cert.window)
     lo = cert.window[0]
-    lam, mu = _pairing_tables(ma, mb, lo, cert.col_indices, cert.row_indices)
+    af = ma[:, np.array(cert.col_indices, dtype=int) - lo].T
+    be = mb[np.array(cert.row_indices, dtype=int) - lo]
+    lam, mu = _pairing_tables(af, be)
     k = cert.size
 
-    dev = 0.0
-    for p in range(k):
-        for q in range(k):
-            dev = max(dev, abs(lam[p][q] - cert.lam[p][q]), abs(mu[p][q] - cert.mu[p][q]))
-    check("tables-recompute", dev <= max(atol, PAIRING_RTOL), {"max_deviation": dev})
+    dev = max(
+        np.abs(lam - np.array(cert.lam)).max(initial=0.0),
+        np.abs(mu - np.array(cert.mu)).max(initial=0.0),
+    )
+    check("tables-recompute", dev <= max(atol, PAIRING_RTOL), {"max_deviation": float(dev)})
 
-    bad_norm = [
-        p
-        for p in range(k)
-        if lam[p][p] < cert.eps**2 - atol or mu[p][p] < cert.eps**2 - atol
-    ]
+    mass = cert.eps**2 - atol
+    bad_norm = np.flatnonzero((np.diag(lam) < mass) | (np.diag(mu) < mass)).tolist()
     check("mass-floor", not bad_norm, {"violating_positions": bad_norm})
 
-    bad_pairs = []
-    for p in range(k):
-        thr = cert.threshold(p + 1)
-        for m in range(p):
-            if abs(lam[m][p]) >= thr or abs(mu[m][p]) >= thr:
-                bad_pairs.append((m, p))
+    # pair (m, p) with m < p is held to the threshold of position p + 1
+    thr = cert.eps * cert.eps / (3.0 * 2.0 ** np.arange(1, k + 1))
+    over = np.triu((np.abs(lam) >= thr) | (np.abs(mu) >= thr), 1)
+    ps, ms = np.nonzero(over.T)
+    bad_pairs = list(zip(ms.tolist(), ps.tolist()))
     check("thinning-thresholds", not bad_pairs, {"violating_pairs": bad_pairs[:8]})
 
     values = _values_from_tables(lam, mu)
-    vdev = max(abs(values[p] - cert.values[p]) for p in range(k)) if k else 0.0
-    check("values-recompute", vdev <= max(atol, PAIRING_RTOL), {"max_deviation": vdev})
+    vdev = np.abs(values - np.array(cert.values)).max(initial=0.0)
+    check("values-recompute", vdev <= max(atol, PAIRING_RTOL), {"max_deviation": float(vdev)})
 
     floor = cert.floor()
-    low = [p for p in range(k) if values[p] < floor - atol]
+    low = np.flatnonzero(values < floor - atol).tolist()
     check("values-floor", not low, {"floor": floor, "violating_positions": low})
 
     ok = all(r["pass"] for r in rows)

@@ -191,9 +191,10 @@ def interval_proj(lo, hi) -> OperatorExpr:
     """
     lo_v = NEG_INF if lo is None else float(lo)
     hi_v = POS_INF if hi is None else float(hi)
-    ind_lo = None if lo_v == NEG_INF else int(lo_v) + 1
-    ind_hi = None if hi_v == POS_INF else int(hi_v)
-    return diag(rule_indicator(ind_lo, ind_hi))
+    if lo_v == POS_INF or hi_v == NEG_INF:
+        return ZERO
+    ind_lo = None if lo_v == NEG_INF else math.floor(lo_v) + 1
+    return diag(rule_indicator(ind_lo, hi_v))
 
 
 def wshift(rule: SeqRule, direction: str) -> OperatorExpr:
@@ -658,7 +659,7 @@ def render_with_leakage(T: OperatorExpr, lo: int, hi: int):
     leak = 0.0
     for part in flatten_sum(C):
         if is_product_free(part):
-            out += _render_exact(part, lo, hi)
+            _add_exact(out, part, lo, hi)
         else:
             m, bound = _render_product(part, lo, hi)
             out += m
@@ -669,32 +670,32 @@ def render_with_leakage(T: OperatorExpr, lo: int, hi: int):
 def _render_exact(part: OperatorExpr, lo: int, hi: int) -> np.ndarray:
     n = hi - lo + 1
     out = np.zeros((n, n))
+    _add_exact(out, part, lo, hi)
+    return out
+
+
+def _add_exact(out: np.ndarray, part: OperatorExpr, lo: int, hi: int):
+    """Add the window lo..hi of a product-free part into out, in place."""
     if isinstance(part, Band):
-        for j in range(lo, hi + 1):
-            i = j + part.offset
-            if lo <= i <= hi:
-                v = part.rule.value(j)
-                if v != 0.0:
-                    out[i - lo, j - lo] = v
-        return out
-    if isinstance(part, RankOne):
-        e = part.e.values_on(lo, hi)
-        f = part.f.values_on(lo, hi)
-        return np.outer(f, e)
-    if isinstance(part, FiniteMatrix):
+        # columns j whose row j + offset also lies in the window
+        j0, j1 = max(lo, lo - part.offset), min(hi, hi - part.offset)
+        if j0 <= j1:
+            j = np.arange(j0 - lo, j1 - lo + 1)
+            out[j + part.offset, j] += part.rule.values_on(j0, j1)
+    elif isinstance(part, RankOne):
+        out += np.outer(part.f.values_on(lo, hi), part.e.values_on(lo, hi))
+    elif isinstance(part, FiniteMatrix):
         r0, r1 = max(part.row_lo, lo), min(part.row_hi, hi)
         c0, c1 = max(part.col_lo, lo), min(part.col_hi, hi)
         if r0 <= r1 and c0 <= c1:
-            src = part.as_array()[
+            out[r0 - lo : r1 - lo + 1, c0 - lo : c1 - lo + 1] += part.as_array()[
                 r0 - part.row_lo : r1 - part.row_lo + 1, c0 - part.col_lo : c1 - part.col_lo + 1
             ]
-            out[r0 - lo : r1 - lo + 1, c0 - lo : c1 - lo + 1] = src
-        return out
-    if isinstance(part, SumOp):
-        return _render_exact(part.left, lo, hi) + _render_exact(part.right, lo, hi)
-    if isinstance(part, ZeroOp):
-        return out
-    raise SchemaError(f"cannot render {part!r} exactly")
+    elif isinstance(part, SumOp):
+        _add_exact(out, part.left, lo, hi)
+        _add_exact(out, part.right, lo, hi)
+    elif not isinstance(part, ZeroOp):
+        raise SchemaError(f"cannot render {part!r} exactly")
 
 
 def _render_product(part: OperatorExpr, lo: int, hi: int):

@@ -736,10 +736,22 @@ def rule_const(c: float) -> SeqRule:
     return ConstRule(float(c))
 
 
-def rule_indicator(lo, hi) -> SeqRule:
+def _integer_ends(lo, hi):
+    """The ends of the integers in [lo, hi]: None is an open end, and a
+    fractional end rounds inward, so every finite end is an integer."""
     lo = NEG_INF if lo is None else float(lo)
     hi = POS_INF if hi is None else float(hi)
-    if lo > hi:
+    return (lo if math.isinf(lo) else float(math.ceil(lo)),
+            hi if math.isinf(hi) else float(math.floor(hi)))
+
+
+def _no_integers(lo: float, hi: float) -> bool:
+    return lo > hi or lo == POS_INF or hi == NEG_INF
+
+
+def rule_indicator(lo, hi) -> SeqRule:
+    lo, hi = _integer_ends(lo, hi)
+    if _no_integers(lo, hi):
         return ZERO_RULE
     if lo == NEG_INF and hi == POS_INF:
         return ONE_RULE
@@ -817,9 +829,8 @@ def rule_shift(rule: SeqRule, offset: int) -> SeqRule:
 
 
 def rule_mask(rule: SeqRule, lo, hi) -> SeqRule:
-    lo = NEG_INF if lo is None else float(lo)
-    hi = POS_INF if hi is None else float(hi)
-    if lo > hi or rule.support.is_empty:
+    lo, hi = _integer_ends(lo, hi)
+    if _no_integers(lo, hi) or rule.support.is_empty:
         return ZERO_RULE
     if lo == NEG_INF and hi == POS_INF:
         return rule

@@ -7,6 +7,7 @@ import pytest
 
 from nestalg.algebra import MultiplicationTask
 from nestalg.constructions import (
+    SubseqCertificate,
     certificate_check,
     counterexample_refuter,
     greedy_subsequence,
@@ -16,7 +17,7 @@ from nestalg.constructions import (
 )
 from nestalg.errors import BlockTooSmall, MalformedSpec, WitnessBudgetExhausted
 from nestalg.nests import make_nest
-from nestalg.operators import diag, identity, op_scale, wshift
+from nestalg.operators import diag, identity, op_scale, op_sum, render, wshift
 from nestalg.rules import rule_comb, rule_const, rule_harmonic, rule_scale
 
 
@@ -69,6 +70,86 @@ def test_greedy_plateau_certificate(n_all):
     assert min(cert.values) >= 8.0 * 0.5**4 / 9.0 - 1e-9
 
 
+def _plateau(c, shift, comb=False):
+    """A scaled identity or comb plus a small lowering shift: columns and
+    rows keep mass, and neighbours pair through the shift."""
+    main = op_scale(c, diag(rule_comb(2, 1)) if comb else identity())
+    return op_sum(main, wshift(rule_const(shift), "lower"))
+
+
+@pytest.mark.parametrize("count", [8, 32])
+@pytest.mark.parametrize("nest", ["n_all", "z_all"])
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (_plateau(1.2, 0.3), _plateau(0.9, 0.25)),
+        (_plateau(1.1, 0.4, comb=True), _plateau(1.3, 0.05)),
+        # neighbours pair at 0.036, within a factor 2 above the threshold of step 2
+        (_plateau(1.2, 0.03), _plateau(0.9, 0.04)),
+    ],
+    ids=["identity", "comb", "near-threshold"],
+)
+def test_greedy_keeps_its_contract(a, b, nest, count, request):
+    eps = 0.5
+    task = MultiplicationTask.build(request.getfixturevalue(nest), a, b)
+    cert = greedy_subsequence(task, eps, count)
+    lo, hi = cert.window
+    ma, mb = render(task.a, lo, hi), render(task.b, lo, hi)
+    # candidates: window columns of a and rows of b with mass eps, paired by rank
+    cols = lo + np.flatnonzero(np.linalg.norm(ma, axis=0) >= eps - 1e-12)
+    rows = lo + np.flatnonzero(np.linalg.norm(mb, axis=1) >= eps - 1e-12)
+    pool = min(len(cols), len(rows))
+    col, row = (lambda j: ma[:, j - lo]), (lambda i: mb[i - lo])
+
+    def thin(k, picks):
+        # candidate k against the picks before it, at step len(picks) + 1
+        thr = cert.threshold(len(picks) + 1)
+        return all(
+            abs(col(cols[k]) @ col(cols[m])) < thr and abs(row(rows[k]) @ row(rows[m])) < thr
+            for m in picks
+        )
+
+    chosen = [int(np.flatnonzero(cols[:pool] == j)[0]) for j in cert.col_indices]
+    assert cert.size == count
+    assert chosen[0] == 0
+    assert list(rows[chosen]) == list(cert.row_indices)
+    assert chosen == sorted(chosen)
+    for n, k in enumerate(chosen):
+        assert thin(k, chosen[:n])
+    for k in range(chosen[-1]):
+        if k not in chosen:
+            assert not thin(k, [m for m in chosen if m < k])
+
+
+def test_certificate_check_names_unthinned_pairs_in_order(n_all):
+    task = MultiplicationTask.build(n_all, _plateau(1.2, 0.3), _plateau(0.9, 0.25))
+    # positions (1, 2) and (0, 3) are neighbours, which pair through the shift
+    idx = (20, 10, 11, 21)
+    zeros = tuple((0.0,) * 4 for _ in idx)
+    forged = SubseqCertificate(0.5, (1, 64), idx, idx, zeros, zeros, (0.0,) * 4)
+    ok, rows = certificate_check(task, forged)
+    assert not ok
+    thinning = next(r for r in rows if r["check"] == "thinning-thresholds")
+    assert not thinning["pass"]
+    assert thinning["detail"]["violating_pairs"] == [(1, 2), (0, 3)]
+
+
+@pytest.mark.parametrize(
+    "table, reshape",
+    [
+        ("lam", lambda t: t[:-1]),
+        ("mu", lambda t: [t[0][:-1]] + t[1:]),
+        ("lam", lambda t: [r + [0.0] for r in t]),
+    ],
+    ids=["missing-row", "short-row", "long-rows"],
+)
+def test_certificate_from_json_rejects_misshapen_tables(id_task, table, reshape):
+    doc = greedy_subsequence(id_task, 1.0, 4).to_json()
+    doc[table] = reshape(doc[table])
+    with pytest.raises(MalformedSpec):
+        SubseqCertificate.from_json(doc)
+
+
 def test_greedy_exhausts_on_vanishing_mass(n_all):
     # harmonic diagonal decays, so large-mass candidates run out
     task = MultiplicationTask.build(n_all, diag(rule_harmonic()), diag(rule_harmonic()))
@@ -77,8 +158,6 @@ def test_greedy_exhausts_on_vanishing_mass(n_all):
 
 
 def test_certificate_json_round_trip(id_task):
-    from nestalg.constructions import SubseqCertificate
-
     cert = greedy_subsequence(id_task, 1.0, 5)
     doc = cert.to_json()
     again = SubseqCertificate.from_json(doc)

@@ -90,6 +90,25 @@ def test_interval_proj_unbounded_sides():
     assert entry(right, 0, 0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"op": "interval_proj", "lo": "inf"},
+        {"op": "interval_proj", "hi": "-inf"},
+        {"op": "interval_proj", "lo": "inf", "hi": "inf"},
+        {"op": "interval_proj", "lo": "-inf", "hi": "-inf"},
+    ],
+)
+def test_interval_proj_onto_no_index_is_zero(doc):
+    assert parse_operator(doc) == ZERO
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.5, 0), (-2.5, 0.5), (-3, 0.5), (-3, 0)])
+def test_interval_proj_floors_negative_fractional_cuts(lo, hi):
+    # lo < i <= hi keeps -2, -1 and 0 of the window -4..1
+    assert np.diag(render(interval_proj(lo, hi), -4, 1)).tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+
+
 def test_wshift_direction_and_entries():
     w = wshift(rule_geometric(0.5), "lower")
     # lower shift moves mass to the previous index: nonzero at (j-1, j)
@@ -382,6 +401,42 @@ def test_canonical_forms_round_trip(T):
     C = canonicalize(T)
     again = parse_operator(json.loads(json.dumps(operator_to_json(C))))
     assert np.array_equal(render(again, -12, 12), render(C, -12, 12))
+
+
+@pytest.mark.parametrize("lo, hi", [(-6, 6), (-2, 3), (0, 9), (3, 4), (-9, -1)])
+def test_render_matches_hand_built_matrix(lo, hi):
+    # overlapping bands, rank-ones and finite blocks, each clipped by some window
+    g = rule_geometric(0.5)
+    T = op_sum(
+        diag(rule_indicator(-3, 5)),
+        band(g, 2),
+        band(rule_const(0.25), -3),
+        band(rule_scale(rule_comb(2, 1), -1.5), 2),
+        rank_one(make_vector(rule_finite({-1: 2.0, 4: 1.0})), make_vector(rule_finite({0: 0.5, 7: -1.0}))),
+        rank_one(make_vector(rule_finite({2: 1.0})), make_vector(rule_finite({2: 3.0, -4: 1.0}))),
+        finite_matrix(-2, 1, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        finite_matrix(3, -4, [[0.5, -0.5], [1.5, 0.0], [0.0, 2.5]]),
+    )
+    want = np.zeros((hi - lo + 1, hi - lo + 1))
+
+    def put(i, j, v):
+        if lo <= i <= hi and lo <= j <= hi:
+            want[i - lo, j - lo] += v
+
+    for j in range(-12, 13):
+        put(j, j, 1.0 if -3 <= j <= 5 else 0.0)
+        put(j + 2, j, g.value(j) + (-1.5 if j % 2 == 1 else 0.0))
+        put(j - 3, j, 0.25)
+    for e, f in (({-1: 2.0, 4: 1.0}, {0: 0.5, 7: -1.0}), ({2: 1.0}, {2: 3.0, -4: 1.0})):
+        for j, ev in e.items():
+            for i, fv in f.items():
+                put(i, j, fv * ev)
+    for r0, c0, rows in ((-2, 1, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), (3, -4, [[0.5, -0.5], [1.5, 0.0], [0.0, 2.5]])):
+        for di, row in enumerate(rows):
+            for dj, v in enumerate(row):
+                put(r0 + di, c0 + dj, v)
+    # every value is a dyadic rational, so any summation order is exact
+    assert np.array_equal(render(T, lo, hi), want)
 
 
 def test_parse_rejects_unknown_op():

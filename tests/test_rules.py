@@ -143,6 +143,20 @@ def test_json_round_trip_spec_kinds():
 
 
 @pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "indicator", "lo": 2.5, "hi": 6},
+        {"kind": "indicator", "lo": -6.5, "hi": -0.5},
+        {"kind": "masked", "base": {"kind": "harmonic"}, "lo": 1.5, "hi": 8},
+    ],
+)
+def test_fractional_ends_round_trip(doc):
+    r = rule_from_json(doc)
+    again = rule_from_json(rule_to_json(r))
+    assert [again.value(i) for i in range(-12, 13)] == [r.value(i) for i in range(-12, 13)]
+
+
+@pytest.mark.parametrize(
     "rule, want",
     [
         (rule_mask(rule_comb(2, 0), 1, None), Support(2, math.inf, True)),
