@@ -129,15 +129,19 @@ def _atom_norm(a: OperatorExpr, lo: float, hi: float, cap: int = 256, iters: int
     return NormInterval(power_norm(m, iters=iters), hi_bound)
 
 
-def delta_norm(a: OperatorExpr, f: FiniteSubnest, cap: int = 256, iters: int = 200) -> NormInterval:
-    """Norm interval of the block-diagonal expectation (sup of atom norms)."""
+def _sup(intervals) -> NormInterval:
+    """Norm interval of a block-diagonal operator from those of its blocks."""
     lo = 0.0
     hi = 0.0
-    for alo, ahi in f.atoms():
-        iv = _atom_norm(a, alo, ahi, cap=cap, iters=iters)
+    for iv in intervals:
         lo = max(lo, iv.lo)
         hi = max(hi, iv.hi)
     return NormInterval(lo, hi)
+
+
+def delta_norm(a: OperatorExpr, f: FiniteSubnest, cap: int = 256, iters: int = 200) -> NormInterval:
+    """Norm interval of the block-diagonal expectation (sup of atom norms)."""
+    return _sup(_atom_norm(a, lo, hi, cap=cap, iters=iters) for lo, hi in f.atoms())
 
 
 def _diag_floor(a: OperatorExpr, nest: Nest) -> float:
@@ -175,14 +179,20 @@ def radical_seminorm(nest, a: OperatorExpr, depth: int = 6) -> RadicalEstimate:
 
     The upper bound is the running minimum along the canonical chain;
     the lower bound is the diagonal floor, which no refinement can
-    remove.
+    remove.  Each step is delta_norm of its subnest; a refinement keeps
+    every atom of the coarser subnest that it does not split, so each
+    distinct atom is evaluated once.
     """
     nest = make_nest(nest)
     floor = _diag_floor(a, nest)
     hi = norm_bound(canonicalize(a))
+    atom_norms = {}
     steps = []
     for k, f in enumerate(canonical_chain(nest, depth)):
-        iv = delta_norm(a, f)
+        for atom in f.atoms():
+            if atom not in atom_norms:
+                atom_norms[atom] = _atom_norm(a, *atom)
+        iv = _sup(atom_norms[atom] for atom in f.atoms())
         hi = min(hi, iv.hi)
         steps.append({"k": k, "cuts": len(f.values), "delta_norm_hi": iv.hi, "delta_norm_lo": iv.lo})
     return RadicalEstimate(floor, max(hi, floor), tuple(steps))
@@ -224,6 +234,7 @@ def jc_decompose(nest, a: OperatorExpr, depth: int = 6) -> IdealDecomposition:
     radical_parts = []
     leftovers = []
     reasons = []
+    certain = False  # some leftover part is certainly outside
     for part in flatten_sum(c):
         v = classify_compact(part)
         if v.status == "Compact":
@@ -238,6 +249,7 @@ def jc_decompose(nest, a: OperatorExpr, depth: int = 6) -> IdealDecomposition:
             reasons.append(
                 f"part {part!r} is not compact and keeps expectation norm >= {est.lo:.6g}"
             )
+            certain = certain or (v.status == "NonCompact" and est.lo > 1e-12)
         else:
             leftovers.append(part)
             reasons.append(f"part {part!r} resisted both classifications")
@@ -246,10 +258,6 @@ def jc_decompose(nest, a: OperatorExpr, depth: int = 6) -> IdealDecomposition:
     left = canonicalize(op_sum(*leftovers)) if leftovers else ZERO
     if not leftovers:
         return IdealDecomposition("Inside", comp, rad, left, "all parts placed")
-    certain = any(
-        classify_compact(p).status == "NonCompact" and radical_seminorm(nest, p, depth).lo > 1e-12
-        for p in leftovers
-    )
     status = "Outside" if certain else "Unknown"
     return IdealDecomposition(status, comp, rad, left, "; ".join(reasons))
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NestAlgError
 from .nests import Nest, make_nest
+from .numerics import power_norm
 from .rules import (
     rule_const,
     rule_finite,
@@ -150,10 +151,14 @@ def random_member_pair(nest, rng, zero_bias: float = 0.3):
 # brute-force zero oracle
 
 
+def _oracle_window(nest: Nest, half: int = 32):
+    return (1, 2 * half) if nest.basis == "N" else (-half, half)
+
+
 def brute_force_zero(task: MultiplicationTask, half: int = 32, res: float = 0.0) -> bool:
     """True when every admissible rank-one input is annihilated on a window."""
     nest = task.nest
-    lo, hi = (1, 2 * half) if nest.basis == "N" else (-half, half)
+    lo, hi = _oracle_window(nest, half)
     ma = render(task.a, lo, hi)
     mb = render(task.b, lo, hi)
     col_a = np.abs(ma).max(axis=0)  # column r of a carries mass
@@ -258,6 +263,35 @@ def _row(name, passed, detail):
     return {"check": name, "pass": bool(passed), "detail": detail}
 
 
+def _norm_lower_bound_row(tasks) -> dict:
+    """power_norm on both rendered factors of each task against LAPACK.
+
+    A lower bound must stay below sigma_1 up to LAPACK's rounding
+    allowance, and must reach the largest column norm, itself a lower
+    bound, up to 1e-5: this grammar renders unit plateaus with geometric
+    tails, whose top singular values can crowd within 1e-6 of each other.
+    """
+    eps = np.finfo(float).eps
+    blocks = 0
+    worst_gap = 0.0
+    violations = []
+    for task in tasks:
+        lo, hi = _oracle_window(task.nest)
+        for side, op in (("a", task.a), ("b", task.b)):
+            m = render(op, lo, hi)
+            est = power_norm(m)
+            sigma = float(np.linalg.svd(m, compute_uv=False)[0])
+            floor = float(np.linalg.norm(m, axis=0).max())
+            blocks += 1
+            if sigma > 0.0:
+                worst_gap = max(worst_gap, (sigma - est) / sigma)
+            if not floor * (1.0 - 1e-5) <= est <= sigma * (1.0 + max(m.shape) * eps):
+                violations.append({"nest": task.nest.to_json(), "side": side,
+                                   "power_norm": est, "column_norm": floor, "lapack": sigma})
+    return _row("norm-lower-bound", not violations,
+                {"blocks": blocks, "worst_gap": worst_gap, "violations": violations[:4]})
+
+
 def verify_suite(seed: int = 0, tasks: int = 40, inject_fault: bool = False) -> dict:
     """End-to-end consistency suite; one row per named check.
 
@@ -272,11 +306,13 @@ def verify_suite(seed: int = 0, tasks: int = 40, inject_fault: bool = False) -> 
     mismatches = []
     undecided = 0
     per_nest = max(tasks // len(SWEEP_NESTS), 1)
+    seeded = []
     for spec in SWEEP_NESTS:
         nest = make_nest(spec)
         for _ in range(per_nest):
             a, b = random_member_pair(nest, rng)
             task = MultiplicationTask.build(nest, a, b, require_membership=False)
+            seeded.append(task)
             v = mult_zero_test(task)
             if v.status == "Unknown":
                 undecided += 1
@@ -356,6 +392,8 @@ def verify_suite(seed: int = 0, tasks: int = 40, inject_fault: bool = False) -> 
     rows.append(_row("radical-markers",
                      r1.hi == 0.0 and abs(ri.lo - 1.0) <= 1e-12 and abs(ri.hi - 1.0) <= 1e-12,
                      {"rank_one": r1.to_json()["hi"], "identity": [ri.lo, ri.hi]}))
+
+    rows.append(_norm_lower_bound_row(seeded))
 
     return {
         "seed": seed,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nestalg import ideals
 from nestalg.ideals import (
     FiniteSubnest,
     canonical_chain,
@@ -109,6 +110,53 @@ def test_radical_chain_monotone_uppers(n_all):
     uppers = [row["delta_norm_hi"] for row in est.chain]
     running = [min(uppers[: k + 1]) for k in range(len(uppers))]
     assert est.hi == pytest.approx(running[-1])
+
+
+@pytest.mark.parametrize(
+    "spec, evaluations",
+    [
+        ({"basis": "N", "cuts": "all"}, 38),
+        ({"basis": "Z", "cuts": "all"}, 76),
+        ({"basis": "Z", "cuts": [-3, 0, 4]}, 6),
+    ],
+)
+def test_radical_chain_evaluates_each_atom_once(monkeypatch, spec, evaluations):
+    nest = make_nest(spec)
+    T = op_sum(identity(), diag(rule_harmonic()))
+    atoms = []
+    atom_norm = ideals._atom_norm
+
+    def counted(a, lo, hi, **kw):
+        atoms.append((lo, hi))
+        return atom_norm(a, lo, hi, **kw)
+
+    monkeypatch.setattr(ideals, "_atom_norm", counted)
+    est = radical_seminorm(nest, T, depth=6)
+    assert len(atoms) == len(set(atoms)) == evaluations
+    # every step still reports delta_norm of its subnest
+    for row, f in zip(est.chain, canonical_chain(nest, 6)):
+        iv = delta_norm(T, f)
+        assert (row["delta_norm_lo"], row["delta_norm_hi"]) == (iv.lo, iv.hi)
+
+
+def test_jc_decompose_classifies_each_part_once(monkeypatch, n_all):
+    T = op_sum(identity(), wshift(rule_const(1.0), "lower"))
+    calls = []
+
+    def counted(name):
+        fn = getattr(ideals, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("classify_compact", "radical_seminorm"):
+        monkeypatch.setattr(ideals, name, counted(name))
+    out = jc_decompose(n_all, T, depth=3)
+    assert out.status == "Outside"
+    assert sorted(calls) == ["classify_compact"] * 2 + ["radical_seminorm"] * 2
 
 
 def test_jc_decompose_compact_member(n_all):

@@ -113,6 +113,7 @@ def test_verify_suite_all_pass():
         "refuter-recompute",
         "embedding-bounds",
         "radical-markers",
+        "norm-lower-bound",
     ]
 
 
