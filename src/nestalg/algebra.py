@@ -98,12 +98,6 @@ def _band_violation(nest: Nest, r, d: int):
     return None, "no explicit cut is crossed"
 
 
-def _rank_one_bounds(e: RuledVector, f: RuledVector):
-    es = exact_support(e.rule)
-    fs = exact_support(f.rule)
-    return es, fs
-
-
 def rank_one_membership(nest, e: RuledVector, f: RuledVector) -> MembershipVerdict:
     """Membership of e (x) f: some cut must hold all of f while its
     predecessor range misses all of e."""
@@ -111,7 +105,7 @@ def rank_one_membership(nest, e: RuledVector, f: RuledVector) -> MembershipVerdi
     if e.rule.support.is_empty or f.rule.support.is_empty:
         return MembershipVerdict("Member", reason="zero operator")
     try:
-        es, fs = _rank_one_bounds(e, f)
+        es, fs = exact_support(e.rule), exact_support(f.rule)
     except UnknownSupport as exc:
         return MembershipVerdict("Unknown", reason=f"support not certified: {exc}")
     if es.is_empty or fs.is_empty:

@@ -15,7 +15,11 @@ Two boundary computations live here as well:
 
 * the zero boundaries: the largest cut annihilated on the right and the
   smallest cut that covers the range, which together decide whether the
-  two-sided multiplication induced by a pair vanishes;
+  two-sided multiplication induced by a pair vanishes.  Both come from
+  one scanner, first_nonzero_column, under one budget (rules.SCAN_BUDGET
+  columns): the first nonzero column of a, and the last nonzero row of
+  b as the last nonzero column of its adjoint.  The zero test's
+  witnesses come from the same scanner;
 * the compact boundaries: the join of cuts whose lower compression is
   compact and the meet of cuts whose upper compression is compact.
 
@@ -45,12 +49,12 @@ from .operators import (
     flatten_sum,
     interval_proj,
     norm_bound,
+    op_adjoint,
     op_product,
     render,
 )
-from .rules import exact_support, nonzero_indices
+from .rules import SCAN_BUDGET, exact_support, nonzero_indices
 
-WALK_BUDGET = 64
 INTERFERENCE_CAP = 1 << 16
 
 
@@ -244,119 +248,81 @@ def classify_compact(T: OperatorExpr) -> CompactVerdict:
 
 
 # ---------------------------------------------------------------------------
-# exact column/row extremes (with cross-part cancellation verification)
+# exact column ends; a row of C is a column of C*, so rows go through the adjoint
 
 
-def _part_col_support(p):
-    if isinstance(p, Band):
-        return exact_support(p.rule)
-    if isinstance(p, RankOne):
-        return exact_support(p.e.rule)
-    if isinstance(p, FiniteMatrix):
-        return (float(p.col_lo), float(p.col_hi))
-    raise UndecidableBoundary(f"no exact column support for {p!r}")
+def first_nonzero_column(C: OperatorExpr, start: int, direction: int = +1):
+    """The first column j = start, start + direction, ... of the product-free C
+    holding a nonzero entry, as (j, i, C[i, j]); None when the SCAN_BUDGET
+    columns visited all vanish.
 
-
-def _part_row_support(p):
-    if isinstance(p, Band):
-        s = exact_support(p.rule)
-        lo = s.lo + p.offset if math.isfinite(s.lo) else s.lo
-        hi = s.hi + p.offset if math.isfinite(s.hi) else s.hi
-        return (lo, hi)
-    if isinstance(p, RankOne):
-        return exact_support(p.f.rule)
-    if isinstance(p, FiniteMatrix):
-        return (float(p.row_lo), float(p.row_hi))
-    raise UndecidableBoundary(f"no exact row support for {p!r}")
-
-
-def _as_bounds(s):
-    if isinstance(s, tuple):
-        return s
-    return (s.lo, s.hi)
-
-
-def _interference_rows(parts) -> int:
-    n = 0
+    A column is probed on the rows its parts reach there: a band's one
+    row, a finite block's rows, and the first nonzero rows of each
+    rank-one's range vector, one more of them than the bands and blocks
+    can fill, so that those cannot cancel them all.
+    """
+    parts = flatten_sum(C)
+    bands = [p for p in parts if isinstance(p, Band)]
+    blocks = [p for p in parts if isinstance(p, FiniteMatrix)]
+    need = 1 + len(bands) + sum(len(p.rows) for p in blocks)
+    ranks = []
     for p in parts:
-        if isinstance(p, Band):
-            n += 1
-        elif isinstance(p, FiniteMatrix):
-            n += len(p.rows)
-    return n
-
-
-def _col_probe_rows(parts, j: int) -> list:
-    rows = set()
-    need = _interference_rows(parts) + 1
-    for p in parts:
-        if isinstance(p, Band):
-            if p.rule.value(j) != 0.0:
-                rows.add(j + p.offset)
-        elif isinstance(p, FiniteMatrix):
+        if isinstance(p, RankOne):
+            s = p.f.rule.support
+            ranks.append((p.e, nonzero_indices(p.f.rule, s.lo, need, stop=s.hi)))
+    for j in range(start, start + direction * SCAN_BUDGET, direction):
+        rows = {j + p.offset for p in bands if p.rule.value(j) != 0.0}
+        for p in blocks:
             if p.col_lo <= j <= p.col_hi:
                 rows.update(range(p.row_lo, p.row_hi + 1))
-        elif isinstance(p, RankOne):
-            if p.e.value(j) != 0.0:
-                lo = p.f.rule.support.lo
-                rows.update(nonzero_indices(p.f.rule, lo, need))
-    return sorted(rows)
+        for e, reach in ranks:
+            if e.value(j) != 0.0:
+                rows.update(reach)
+        for i in sorted(rows):
+            v = entry(C, i, j)
+            if v != 0.0:
+                return j, i, v
+    return None
 
 
-def _row_probe_cols(parts, i: int) -> list:
-    cols = set()
-    need = _interference_rows(parts) + 1
+def _exact_col_end(C: OperatorExpr, direction: int) -> float:
+    """The first (direction +1) or last (-1) nonzero column of the canonical C.
+
+    Only exact_row_hi scans downward, on the adjoint, so its messages say "row".
+    """
+    what = "column" if direction > 0 else "row"
+    parts = flatten_sum(C)
+    if not parts:
+        return direction * POS_INF
+    ends = []
     for p in parts:
-        if isinstance(p, Band):
-            j = i - p.offset
-            if p.rule.value(j) != 0.0:
-                cols.add(j)
-        elif isinstance(p, FiniteMatrix):
-            if p.row_lo <= i <= p.row_hi:
-                cols.update(range(p.col_lo, p.col_hi + 1))
-        elif isinstance(p, RankOne):
-            if p.f.value(i) != 0.0:
-                lo = p.e.rule.support.lo
-                cols.update(nonzero_indices(p.e.rule, lo, need))
-    return sorted(cols)
+        if isinstance(p, FiniteMatrix):
+            ends.append(float(p.col_lo if direction > 0 else p.col_hi))
+        elif isinstance(p, (Band, RankOne)):
+            try:
+                s = exact_support(p.rule if isinstance(p, Band) else p.e.rule)
+            except UnknownSupport as exc:
+                raise UndecidableBoundary(f"{what} support not certified: {exc}") from exc
+            ends.append(s.lo if direction > 0 else s.hi)
+        else:
+            raise UndecidableBoundary(f"no exact {what} support for {p!r}")
+    j0 = min(ends) if direction > 0 else max(ends)
+    if not math.isfinite(j0):
+        return j0
+    hit = first_nonzero_column(C, int(j0), direction)
+    if hit is None:
+        raise UndecidableBoundary(f"{what} walk exhausted its budget without a nonzero {what}")
+    return float(hit[0])
 
 
 def exact_col_lo(C: OperatorExpr) -> float:
     """Smallest nonzero column of the canonical expression; +inf when zero."""
-    parts = flatten_sum(canonicalize(C))
-    if not parts:
-        return POS_INF
-    try:
-        los = [_as_bounds(_part_col_support(p))[0] for p in parts]
-    except UnknownSupport as exc:
-        raise UndecidableBoundary(f"column support not certified: {exc}") from exc
-    j0 = min(los)
-    if j0 == NEG_INF:
-        return NEG_INF
-    for j in range(int(j0), int(j0) + WALK_BUDGET + 1):
-        for i in _col_probe_rows(parts, j):
-            if entry(C, i, j) != 0.0:
-                return float(j)
-    raise UndecidableBoundary("column walk exhausted its budget without a nonzero column")
+    return _exact_col_end(canonicalize(C), +1)
 
 
 def exact_row_hi(C: OperatorExpr) -> float:
     """Largest nonzero row of the canonical expression; -inf when zero."""
-    parts = flatten_sum(canonicalize(C))
-    if not parts:
-        return NEG_INF
-    try:
-        his = [_as_bounds(_part_row_support(p))[1] for p in parts]
-    except UnknownSupport as exc:
-        raise UndecidableBoundary(f"row support not certified: {exc}") from exc
-    i0 = max(his)
-    if i0 == POS_INF:
-        return POS_INF
-    for i in range(int(i0), int(i0) - WALK_BUDGET - 1, -1):
-        for j in _row_probe_cols(parts, i):
-            if entry(C, i, j) != 0.0:
-                return float(i)
-    raise UndecidableBoundary("row walk exhausted its budget without a nonzero row")
+    return _exact_col_end(op_adjoint(canonicalize(C)), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +385,16 @@ def boundary_ul(task):
 # limiting restricted norms
 
 
-def limit_restricted_norm(T: OperatorExpr, side: str, direction: int) -> NormInterval:
+def limit_restricted_norm(T: OperatorExpr, direction: int) -> NormInterval:
     """Two-sided bounds on the limiting norm of a one-sided restriction.
 
-    side "col": lim over c of || T Proj(columns beyond c) ||
-    side "row": lim over c of || Proj(rows beyond c) T ||
-    where "beyond" runs to +inf for direction +1 and to -inf for -1.
-    The limit exists because the restrictions shrink monotonically.
+    The limit over c of || T Proj(columns beyond c) || and the limit of
+    || Proj(rows beyond c) T || are the same number, where "beyond" runs
+    to +inf for direction +1 and to -inf for -1: rank-one and finite
+    parts vanish in the limit either way, and each band leaves its tail
+    supremum in that direction.  The limits exist because the
+    restrictions shrink monotonically.
     """
-    if side not in ("col", "row"):
-        raise ValueError(f"side must be 'col' or 'row', got {side!r}")
     C = canonicalize(T)
     parts = flatten_sum(C)
     hi = 0.0

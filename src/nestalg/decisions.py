@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from .algebra import MultiplicationTask, rank_one_membership
 from .compactness import (
+    CompactVerdict,
     boundary_rq,
     classify_compact,
     compress_lower,
@@ -35,6 +36,7 @@ from .compactness import (
     default_window,
     ess_norm_proxy,
     exact_col_lo,
+    first_nonzero_column,
     join_of_compact_lower_corners,
     limit_restricted_norm,
     meet_of_compact_upper_corners,
@@ -50,10 +52,10 @@ from .operators import (
     col_support,
     entry,
     finite_matrix,
-    flatten_sum,
     identity,
     interval_proj,
     norm_bound,
+    op_adjoint,
     op_product,
     operator_to_json,
     rank_one,
@@ -89,21 +91,6 @@ class MultVerdict:
 # zero test
 
 
-def _first_nonzero_row_above(b: OperatorExpr, floor: float):
-    """A row index i > floor where b has a verified nonzero entry."""
-    from .compactness import _row_probe_cols  # shared probe machinery
-
-    C = canonicalize(b)
-    parts = flatten_sum(C)
-    start = int(floor) + 1 if math.isfinite(floor) else int(row_support(C).lo) if math.isfinite(row_support(C).lo) else -SCAN_BUDGET // 2
-    for i in range(start, start + SCAN_BUDGET):
-        for j in _row_probe_cols(parts, i):
-            v = entry(C, i, j)
-            if v != 0.0:
-                return i, j, v
-    return None
-
-
 def mult_zero_test(task: MultiplicationTask) -> MultVerdict:
     """Exact zero test with a rank-one witness on the nonzero side."""
     try:
@@ -115,39 +102,23 @@ def mult_zero_test(task: MultiplicationTask) -> MultVerdict:
         return MultVerdict(
             "zero", "Zero", "the range cover cut sits at or below the annihilator cut", detail
         )
-    # nonzero: build x = e (x) f with f = basis at the first nonzero column
-    # of a and e = basis at a verified nonzero row of b above the
-    # annihilator cut; then a x b = (b* e) (x) (a f) is nonzero.
-    ja = exact_col_lo(task.a)
-    found = _first_nonzero_row_above(task.b, r.value)
+    # nonzero: take x = e_ib (x) e_ja with b nonzero in row ib above the
+    # annihilator cut and a nonzero in column ja; then a x b = (b* e_ib) (x)
+    # (a e_ja) is nonzero.  Row ib is the first nonzero column of b* from
+    # the cut up; column ja is the first of a from its first nonzero
+    # column up or, when a's columns reach down indefinitely, from the
+    # chosen row down, where the pairing is automatically admissible.
+    ca, cb = canonicalize(task.a), canonicalize(task.b)
+    start = r.value + 1 if math.isfinite(r.value) else row_support(cb).lo
+    found = first_nonzero_column(op_adjoint(cb), int(start) if math.isfinite(start) else -SCAN_BUDGET // 2)
     if found is None:
         return MultVerdict("zero", "Unknown", "nonzero by boundaries but witness scan failed", detail)
     ib, jb, bval = found
-    ca = canonicalize(task.a)
-    from .compactness import _col_probe_rows
-
-    ia_probe = None
+    ja = exact_col_lo(ca)
     if math.isfinite(ja):
-        for i in _col_probe_rows(flatten_sum(ca), int(ja)):
-            v = entry(ca, i, int(ja))
-            if v != 0.0:
-                ia_probe = (int(ja), i, v)
-                break
+        ia_probe = first_nonzero_column(ca, int(ja))
     else:
-        # columns reach down indefinitely: walk down from the chosen row,
-        # where the pairing is automatically admissible
-        hi0 = col_support(ca).hi
-        start = min(ib, int(hi0)) if math.isfinite(hi0) else ib
-        parts = flatten_sum(ca)
-        for j in range(start, start - SCAN_BUDGET, -1):
-            hit = next((
-                (j, i, entry(ca, i, j))
-                for i in _col_probe_rows(parts, j)
-                if entry(ca, i, j) != 0.0
-            ), None)
-            if hit is not None:
-                ia_probe = hit
-                break
+        ia_probe = first_nonzero_column(ca, int(min(ib, col_support(ca).hi)), -1)
     if ia_probe is None:
         return MultVerdict("zero", "Unknown", "column witness for a vanished unexpectedly", detail)
     ja, ia, aval = ia_probe
@@ -195,8 +166,6 @@ def _a_side_verdict(task: MultiplicationTask, q: NestCut):
     nest = task.nest
     if q.value == POS_INF and nest.is_all:
         if nest.basis == "N":
-            from .compactness import CompactVerdict
-
             return CompactVerdict("Compact", reason="every lower compression has finite rank")
         return classify_compact(compress_lower(task.a, NestCut(0.0)))
     return classify_compact(compress_lower(task.a, q))
@@ -302,7 +271,7 @@ def _right_tail_obstruction(task: MultiplicationTask, s: NestCut) -> NormInterva
         return _block_norm(nest, block, lo_anchor=s.value + 1)
     # s is a limit from above (integer-basis bottom): the infimum over
     # P > s is the limiting norm of a on far-negative columns
-    return limit_restricted_norm(task.a, "col", -1)
+    return limit_restricted_norm(task.a, -1)
 
 
 def _left_tail_obstruction(task: MultiplicationTask, s: NestCut) -> NormInterval:
@@ -315,7 +284,7 @@ def _left_tail_obstruction(task: MultiplicationTask, s: NestCut) -> NormInterval
             return NormInterval(0.0, 0.0)
         return _block_norm(nest, block, hi_anchor=s.value)
     # s is a limit from below (the top of an all-integer nest)
-    return limit_restricted_norm(task.b, "row", +1)
+    return limit_restricted_norm(task.b, +1)
 
 
 def mult_weak_decision(task: MultiplicationTask) -> MultVerdict:
@@ -509,12 +478,12 @@ def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
         if a_set["finite_all"]:
             # P1 finite and large, P2 = top
             iv = _min_interval(
-                limit_restricted_norm(task.a, "col", +1), limit_restricted_norm(task.b, "row", +1)
+                limit_restricted_norm(task.a, +1), limit_restricted_norm(task.b, +1)
             )
             families.append(({"p1": "finite->inf", "p2": "inf"}, iv))
         if b_set["finite_all"]:
             iv = _min_interval(
-                limit_restricted_norm(task.a, "col", -1), limit_restricted_norm(task.b, "row", -1)
+                limit_restricted_norm(task.a, -1), limit_restricted_norm(task.b, -1)
             )
             families.append(({"p1": "-inf", "p2": "finite->-inf"}, iv))
     if not families:
@@ -616,8 +585,8 @@ def _escaping_family_probe(task: MultiplicationTask, rng) -> dict | None:
     """
     if task.nest.basis != "Z" or not task.nest.is_all:
         return None
-    la = limit_restricted_norm(task.a, "col", -1).lo
-    lb = limit_restricted_norm(task.b, "row", +1).lo
+    la = limit_restricted_norm(task.a, -1).lo
+    lb = limit_restricted_norm(task.b, +1).lo
     if la <= 1e-9 or lb <= 1e-9:
         return None
     floor = la * lb / 2.0

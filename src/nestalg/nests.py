@@ -47,20 +47,6 @@ class NestCut:
         return f"Cut({int(self.value)})"
 
 
-@dataclass(frozen=True)
-class AtomInterval:
-    """A gap (lo, hi] between consecutive cuts; dimension hi - lo."""
-
-    lo: NestCut
-    hi: NestCut
-
-    @property
-    def dimension(self) -> float:
-        if not self.lo.is_finite() or not self.hi.is_finite():
-            return POS_INF
-        return self.hi.value - self.lo.value
-
-
 def _as_value(c) -> float:
     if isinstance(c, NestCut):
         return c.value
@@ -143,14 +129,6 @@ class Nest:
             return cut  # limit from above on Z: finite cuts meet to 0
         return NestCut(v + 1)
 
-    def is_limit_from_below(self, c) -> bool:
-        cut = self.as_cut(c)
-        return cut != self.bottom and self.pred(cut) == cut
-
-    def is_limit_from_above(self, c) -> bool:
-        cut = self.as_cut(c)
-        return cut != self.top and self.succ(cut) == cut
-
     def largest_cut_leq(self, x: float) -> NestCut:
         """Largest cut with value <= x; bottom when none exists."""
         if self.cut_values is not None:
@@ -202,27 +180,6 @@ class Nest:
             start = lo if self.basis == "Z" else max(lo, 0)
             out = [NestCut(float(v)) for v in range(start, hi + 1)]
         return out
-
-    def atoms(self, window=None) -> list:
-        """Gaps (pred(N), N] with pred(N) < N.
-
-        Finite cut sets list every atom.  All-integer cut sets have one
-        width-1 atom per finite cut, so a window (lo, hi) is required and
-        the atoms with hi-endpoint inside it are returned.
-        """
-        if self.cut_values is not None:
-            out = []
-            for prev, cur in zip(self.cut_values, self.cut_values[1:]):
-                out.append(AtomInterval(NestCut(prev), NestCut(cur)))
-            return out
-        if window is None:
-            raise ValueError("all-integers nest needs a window for atoms()")
-        lo, hi = window
-        start = lo if self.basis == "Z" else max(lo, 1)
-        return [
-            AtomInterval(NestCut(float(v - 1)), NestCut(float(v)))
-            for v in range(start, hi + 1)
-        ]
 
     # -- serialization ---------------------------------------------------------
 

@@ -271,15 +271,14 @@ def op_adjoint(x: OperatorExpr) -> OperatorExpr:
     """Adjoint, pushed all the way down (entries are real)."""
     if isinstance(x, ZeroOp):
         return ZERO
-    if isinstance(x, Band):
-        return band(rule_shift(x.rule, x.offset), -x.offset)
+    if isinstance(x, Band):  # a shifted nonzero rule stays nonzero
+        return Band(rule_shift(x.rule, x.offset), -x.offset)
     if isinstance(x, RankOne):
         return RankOne(x.f, x.e)
-    if isinstance(x, FiniteMatrix):
-        arr = x.as_array().T
-        return _trim_finite(FiniteMatrix(x.col_lo, x.row_lo, tuple(tuple(v) for v in arr.tolist())))
-    if isinstance(x, SumOp):
-        return op_sum(op_adjoint(x.left), op_adjoint(x.right))
+    if isinstance(x, FiniteMatrix):  # the transpose of a trimmed block is trimmed
+        return FiniteMatrix(x.col_lo, x.row_lo, tuple(zip(*x.rows)))
+    if isinstance(x, SumOp):  # terms are nonzero, and so are their adjoints
+        return SumOp(op_adjoint(x.left), op_adjoint(x.right))
     if isinstance(x, ScaleOp):
         return op_scale(x.scalar, op_adjoint(x.x))
     if isinstance(x, ProductOp):
@@ -530,8 +529,6 @@ def is_product_free(T: OperatorExpr) -> bool:
         return True
     if isinstance(T, SumOp):
         return is_product_free(T.left) and is_product_free(T.right)
-    if isinstance(T, ScaleOp):
-        return False
     return False
 
 
@@ -750,14 +747,7 @@ def _col_sq_tail_beyond(T: OperatorExpr, lo: int, hi: int) -> float:
 
 def _row_sq_tail_beyond(T: OperatorExpr, lo: int, hi: int) -> float:
     """Upper bound on sup_i sum of squared entries in columns outside [lo, hi]."""
-    return _col_sq_tail_beyond(op_adjoint_safe(T), lo, hi)
-
-
-def op_adjoint_safe(T: OperatorExpr) -> OperatorExpr:
-    try:
-        return op_adjoint(T)
-    except SchemaError:
-        return canonicalize(T)
+    return _col_sq_tail_beyond(op_adjoint(T), lo, hi)
 
 
 # ---------------------------------------------------------------------------

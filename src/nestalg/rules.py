@@ -909,7 +909,19 @@ def nonzero_indices(rule: SeqRule, start: float, count: int = 1, stop: float = P
 
 
 def exact_support(rule: SeqRule, scan_budget: int = 64) -> Support:
-    """Support with certified-attained endpoints; raises when uncertifiable."""
+    """Support with certified-attained endpoints; raises when uncertifiable.
+
+    A shifted rule is certified through its base, which a failure names:
+    the rows of a band, found as the columns of its adjoint, keep the
+    name of the rule as written.
+    """
+    if isinstance(rule, ShiftedRule):
+        sup = _certified_support(rule.base, scan_budget)
+        return sup if sup.is_empty else Support(sup.lo + rule.offset, sup.hi + rule.offset, True)
+    return _certified_support(rule, scan_budget)
+
+
+def _certified_support(rule: SeqRule, scan_budget: int) -> Support:
     sup = rule.support
     if sup.is_empty or sup.exact:
         return sup

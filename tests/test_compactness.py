@@ -1,5 +1,7 @@
 """Compactness classification of single operators and corner compressions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,12 @@ from nestalg.compactness import (
     exact_row_hi,
     limit_restricted_norm,
 )
+from nestalg.errors import UndecidableBoundary
 from nestalg.nests import NestCut, make_nest
 from nestalg.operators import (
     basis_vector,
+    canonicalize,
+    col_support,
     diag,
     entry,
     finite_matrix,
@@ -28,6 +33,7 @@ from nestalg.operators import (
     op_sum,
     rank_one,
     render,
+    row_support,
     wshift,
 )
 from nestalg.rules import (
@@ -36,7 +42,9 @@ from nestalg.rules import (
     rule_harmonic,
     rule_indicator,
     rule_scale,
+    rule_sum,
 )
+from nestalg.scenarios import SWEEP_NESTS, random_member
 
 
 COMPACT_SPECIMENS = [
@@ -93,13 +101,13 @@ def test_noncompact_plus_compact_stays_noncompact():
 
 
 def test_limit_restricted_norm_identity():
-    ni = limit_restricted_norm(identity(), "col", +1)
+    ni = limit_restricted_norm(identity(), +1)
     assert ni.lo == pytest.approx(1.0, abs=1e-8)
     assert ni.hi == pytest.approx(1.0, abs=1e-8)
 
 
 def test_limit_restricted_norm_vanishing():
-    ni = limit_restricted_norm(diag(rule_harmonic()), "col", +1)
+    ni = limit_restricted_norm(diag(rule_harmonic()), +1)
     assert ni.hi <= 1e-9
 
 
@@ -109,6 +117,39 @@ def test_exact_boundaries():
     assert exact_row_hi(x) == 5.0
     assert exact_col_lo(identity()) == -np.inf
     assert exact_row_hi(identity()) == np.inf
+    # seeded stock-grammar members: where the support is finite, the ends
+    # are the first nonzero column and the last nonzero row of a render
+    # on a window that covers it
+    rng = np.random.default_rng(11)
+    checked = 0
+    for spec in SWEEP_NESTS:
+        for _ in range(30):
+            m = canonicalize(random_member(spec, rng))
+            cs, rs = col_support(m), row_support(m)
+            if not all(math.isfinite(v) for v in (cs.lo, cs.hi, rs.lo, rs.hi)):
+                continue
+            lo, hi = int(min(cs.lo, rs.lo)) - 2, int(max(cs.hi, rs.hi)) + 2
+            M = render(m, lo, hi)
+            cols = np.flatnonzero(np.any(M != 0.0, axis=0))
+            rows = np.flatnonzero(np.any(M != 0.0, axis=1))
+            assert exact_col_lo(m) == (lo + cols[0] if cols.size else np.inf)
+            assert exact_row_hi(m) == (lo + rows[-1] if rows.size else -np.inf)
+            checked += 1
+    assert checked >= 20
+    # an uncertified row end names the band's rule as written, not the
+    # shifted rule of the adjoint it is read from
+    alternating = rule_sum(rule_geometric(0.5), rule_geometric(-0.5))
+    with pytest.raises(UndecidableBoundary, match="row support not certified") as err:
+        exact_row_hi(wshift(alternating, "lower"))
+    assert "of SumRule" in str(err.value) and "ShiftedRule" not in str(err.value)
+
+
+def test_boundary_scans_run_to_the_scan_budget():
+    # a cancellation over 80 columns (rows) hides the first nonzero column
+    # (last nonzero row) beyond a 64-step walk, within the scan budget
+    ind = diag(rule_indicator(1, 100))
+    assert exact_col_lo(op_sum(ind, finite_matrix(1, 1, -np.eye(80)))) == 81.0
+    assert exact_row_hi(op_sum(ind, finite_matrix(21, 21, -np.eye(80)))) == 20.0
 
 
 def test_boundary_rq_flagship():

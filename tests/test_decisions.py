@@ -16,8 +16,19 @@ from nestalg.decisions import (
     range_in_compacts_sampler,
 )
 from nestalg.nests import make_nest
-from nestalg.operators import parse_operator, render
-from nestalg.scenarios import random_member_pair
+from nestalg.operators import (
+    basis_vector,
+    diag,
+    finite_matrix,
+    identity,
+    op_product,
+    op_sum,
+    parse_operator,
+    rank_one,
+    render,
+)
+from nestalg.rules import rule_geometric, rule_indicator
+from nestalg.scenarios import SWEEP_NESTS, random_member_pair
 
 
 def build_task(spec):
@@ -47,24 +58,52 @@ def test_catalog_expected_verdicts(spec):
 def test_zero_witness_is_numerically_real():
     # when the test says NonZero it hands over a rank-one input; rendering
     # the image of that input must reproduce the claimed entry
-    spec = find_task("flagship-harmonic")
-    task = build_task(spec)
-    v = mult_zero_test(task)
-    assert v.status == "NonZero"
-    w = v.detail["witness"]
-    x = parse_operator(w["x"])
-    row, col, val = (
-        w["image_entry"]["row"],
-        w["image_entry"]["col"],
-        w["image_entry"]["value"],
+    flagship = build_task(find_task("flagship-harmonic"))
+    # a's columns reach down indefinitely, so its witness column is
+    # scanned downward from the chosen row of b
+    z_all = make_nest({"basis": "Z", "cuts": "all"})
+    unbounded = MultiplicationTask.build(
+        z_all, diag(rule_geometric(0.5)), rank_one(basis_vector(3), basis_vector(1))
     )
-    lo = min(row, col) - 8
-    hi = max(row, col) + 8
-    from nestalg.operators import op_product
+    assert mult_zero_test(unbounded).detail["annihilator_cut"] == "-inf"
+    tasks = [flagship, unbounded]
+    rng = np.random.default_rng(23)
+    for spec in SWEEP_NESTS:
+        nest = make_nest(spec)
+        for _ in range(12):
+            tasks.append(MultiplicationTask.build(nest, *random_member_pair(nest, rng)))
+    witnessed = 0
+    for k, task in enumerate(tasks):
+        v = mult_zero_test(task)
+        if k < 2:
+            assert v.status == "NonZero"
+        elif v.status != "NonZero":
+            continue
+        w = v.detail["witness"]
+        x = parse_operator(w["x"])
+        row, col, val = (
+            w["image_entry"]["row"],
+            w["image_entry"]["col"],
+            w["image_entry"]["value"],
+        )
+        lo = min(row, col) - 8
+        hi = max(row, col) + 8
+        img = op_product(task.a, op_product(x, task.b))
+        M = render(img, lo, hi)
+        assert M[row - lo, col - lo] == pytest.approx(val, rel=1e-12)
+        witnessed += 1
+    assert witnessed >= 20
 
-    img = op_product(task.a, op_product(x, task.b))
-    M = render(img, lo, hi)
-    assert M[row - lo, col - lo] == pytest.approx(val, rel=1e-12)
+
+def test_zero_and_compact_see_past_a_long_cancellation():
+    # columns 1..80 of a cancel: the first nonzero column, 81, lies beyond
+    # a 64-column walk but within the scan budget
+    a = op_sum(diag(rule_indicator(1, 100)), finite_matrix(1, 1, -np.eye(80)))
+    task = MultiplicationTask.build(make_nest({"basis": "N", "cuts": "all"}), a, identity())
+    zero = mult_zero_test(task)
+    assert zero.status == "NonZero"
+    assert zero.detail["witness"]["input"] == {"e_index": 81, "f_index": 81}
+    assert mult_compact_decision(task).status == "NonCompact"
 
 
 def test_zero_verdict_detail_names_both_cuts():

@@ -46,13 +46,10 @@ def test_pred_succ_walk_the_integer_chain(n_all):
 def test_top_of_all_nest_is_a_limit_from_below(n_all):
     # no largest finite cut, so the join from below never attains the top
     assert n_all.pred(n_all.top) == n_all.top
-    assert n_all.is_limit_from_below(n_all.top)
-    assert not n_all.is_limit_from_below(n_all.as_cut(3))
 
 
 def test_bottom_of_z_all_is_a_limit_from_above(z_all):
     assert z_all.succ(z_all.bottom) == z_all.bottom
-    assert z_all.is_limit_from_above(z_all.bottom)
 
 
 def test_pred_of_bottom_stays_put(n_all, z_all):
@@ -78,11 +75,6 @@ def test_largest_and_smallest_cut_searches(n_explicit):
 def test_cuts_in_window(n_all, n_explicit):
     assert [c.value for c in n_all.cuts_in_window(2, 5)] == [2.0, 3.0, 4.0, 5.0]
     assert [c.value for c in n_explicit.cuts_in_window(0, 6)] == [0.0, 3.0]
-
-
-def test_atoms_tile_the_explicit_nest(n_explicit):
-    spans = [(a.lo.value, a.hi.value) for a in n_explicit.atoms()]
-    assert spans == [(0.0, 3.0), (3.0, 7.0), (7.0, POS_INF)]
 
 
 def test_json_round_trip(n_explicit, z_all):

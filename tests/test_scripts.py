@@ -1,8 +1,11 @@
 """The experiment scripts run to completion from a checkout."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 
@@ -19,3 +22,15 @@ def test_script_exits_cleanly(script):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these names; one that no longer resolves
+    # breaks a traced benchmark run without failing any other test
+    spec = importlib.util.spec_from_file_location("tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in tracing.TRACED:
+        module, attr = name.split(".", 1)
+        target = reduce(getattr, attr.split("."), importlib.import_module("nestalg." + module))
+        assert callable(target), name
