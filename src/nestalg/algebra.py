@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .errors import NotInAlgebra, UnknownSupport
 from .nests import Nest, NestCut, make_nest
 from .operators import (
-    ZERO,
     Band,
     FiniteMatrix,
     OperatorExpr,
@@ -28,20 +27,16 @@ from .operators import (
     RuledVector,
     ZeroOp,
     canonicalize,
+    compress,
     entry,
     flatten_sum,
-    interval_proj,
-    op_product,
 )
 from .rules import exact_support, nonzero_indices
 
 
 def ambient_restrict(nest: Nest, T: OperatorExpr) -> OperatorExpr:
     """Compress T to the nest's ambient index set and canonicalize."""
-    if nest.basis == "N":
-        p = interval_proj(0, None)
-        return canonicalize(op_product(op_product(p, T), p))
-    return canonicalize(T)
+    return compress(T, 0, None) if nest.basis == "N" else canonicalize(T)
 
 
 @dataclass(frozen=True)
@@ -130,7 +125,11 @@ def rank_one_membership(nest, e: RuledVector, f: RuledVector) -> MembershipVerdi
 def alg_membership(nest, T: OperatorExpr) -> MembershipVerdict:
     """Decide whether T belongs to the nest algebra."""
     nest = make_nest(nest)
-    C = ambient_restrict(nest, T)
+    return restricted_membership(nest, ambient_restrict(nest, T))
+
+
+def restricted_membership(nest: Nest, C: OperatorExpr) -> MembershipVerdict:
+    """Membership of an operand that ambient_restrict already returned."""
     if isinstance(C, ZeroOp):
         return MembershipVerdict("Member", reason="zero operator")
     unknown_reasons = []
@@ -232,7 +231,7 @@ class MultiplicationTask:
         cb = ambient_restrict(nest, b)
         if require_membership:
             for name, op in (("a", ca), ("b", cb)):
-                v = alg_membership(nest, op)
+                v = restricted_membership(nest, op)
                 if v.status == "NonMember":
                     w = v.witness
                     raise NotInAlgebra(

@@ -35,25 +35,24 @@ import math
 from dataclasses import dataclass
 
 from .errors import UndecidableBoundary, UnknownSupport
-from .nests import NEG_INF, POS_INF, Nest, NestCut, make_nest
+from .nests import POS_INF, Nest, NestCut, make_nest
 from .numerics import NormInterval, singular_values
 from .operators import (
-    ZERO,
     Band,
     FiniteMatrix,
     OperatorExpr,
     ProductOp,
     RankOne,
     canonicalize,
+    compress,
     entry,
     flatten_sum,
     interval_proj,
     norm_bound,
     op_adjoint,
-    op_product,
     render,
 )
-from .rules import SCAN_BUDGET, exact_support, nonzero_indices
+from .rules import SCAN_BUDGET, exact_support
 
 INTERFERENCE_CAP = 1 << 16
 
@@ -62,30 +61,26 @@ INTERFERENCE_CAP = 1 << 16
 # cut projections and compressions
 
 
+def _cut_value(cut) -> float:
+    return cut.value if isinstance(cut, NestCut) else float(cut)
+
+
 def cut_proj(cut: NestCut) -> OperatorExpr:
     """Projection onto coordinates <= cut value."""
-    v = cut.value if isinstance(cut, NestCut) else float(cut)
-    if v == NEG_INF:
-        return ZERO
-    return interval_proj(None, v)
+    return interval_proj(None, _cut_value(cut))
 
 
 def cocut_proj(cut: NestCut) -> OperatorExpr:
     """Projection onto coordinates > cut value."""
-    v = cut.value if isinstance(cut, NestCut) else float(cut)
-    if v == POS_INF:
-        return ZERO
-    return interval_proj(v, None)
+    return interval_proj(_cut_value(cut), None)
 
 
 def compress_lower(T: OperatorExpr, cut) -> OperatorExpr:
-    p = cut_proj(cut)
-    return canonicalize(op_product(op_product(p, T), p))
+    return compress(T, None, _cut_value(cut))
 
 
 def compress_upper(T: OperatorExpr, cut) -> OperatorExpr:
-    p = cocut_proj(cut)
-    return canonicalize(op_product(op_product(p, T), p))
+    return compress(T, _cut_value(cut), None)
 
 
 # ---------------------------------------------------------------------------
@@ -251,37 +246,68 @@ def classify_compact(T: OperatorExpr) -> CompactVerdict:
 # exact column ends; a row of C is a column of C*, so rows go through the adjoint
 
 
+def _range_rows(terms, need: int):
+    """The first `need` nonzero rows of the vector sum of c * f(i) over the
+    (c, f) in terms, added in order as entry() adds the parts, and whether
+    a shorter list holds every nonzero row: False when the scan stopped at
+    SCAN_BUDGET rows before the support end."""
+    sups = [f.rule.support for _c, f in terms]
+    lo, hi = min(s.lo for s in sups), max(s.hi for s in sups)
+    first = int(lo) if math.isfinite(lo) else -SCAN_BUDGET // 2
+    last = first + SCAN_BUDGET - 1
+    rows = []
+    for i in range(first, int(min(hi, last)) + 1):
+        v = 0.0
+        for c, f in terms:
+            v += c * f.value(i)
+        if v != 0.0:
+            rows.append(i)
+            if len(rows) == need:
+                return rows, True
+    return rows, math.isfinite(lo) and hi <= last
+
+
 def first_nonzero_column(C: OperatorExpr, start: int, direction: int = +1):
     """The first column j = start, start + direction, ... of the product-free C
     holding a nonzero entry, as (j, i, C[i, j]); None when the SCAN_BUDGET
     columns visited all vanish.
 
     A column is probed on the rows its parts reach there: a band's one
-    row, a finite block's rows, and the first nonzero rows of each
-    rank-one's range vector, one more of them than the bands and blocks
-    can fill, so that those cannot cancel them all.
+    row, a finite block's rows, and the first nonzero rows of the range
+    vector sum_k e_k(j) f_k of the rank-ones e_k (x) f_k nonzero there,
+    one more of them than the bands and blocks can fill, so that those
+    cannot cancel them all.  Raises UndecidableBoundary when a column's
+    probes vanish but its range vector has fewer such rows within the
+    budget than its support may hold.
     """
     parts = flatten_sum(C)
     bands = [p for p in parts if isinstance(p, Band)]
     blocks = [p for p in parts if isinstance(p, FiniteMatrix)]
+    ranks = [p for p in parts if isinstance(p, RankOne)]
     need = 1 + len(bands) + sum(len(p.rows) for p in blocks)
-    ranks = []
-    for p in parts:
-        if isinstance(p, RankOne):
-            s = p.f.rule.support
-            ranks.append((p.e, nonzero_indices(p.f.rule, s.lo, need, stop=s.hi)))
+    reach = {}  # (k, e_k(j)) of the rank-ones nonzero at a column (1.0 for a lone one) -> _range_rows
     for j in range(start, start + direction * SCAN_BUDGET, direction):
         rows = {j + p.offset for p in bands if p.rule.value(j) != 0.0}
         for p in blocks:
             if p.col_lo <= j <= p.col_hi:
                 rows.update(range(p.row_lo, p.row_hi + 1))
-        for e, reach in ranks:
-            if e.value(j) != 0.0:
-                rows.update(reach)
+        terms = [(k, c) for k, p in enumerate(ranks) if (c := p.e.value(j)) != 0.0]
+        complete = True
+        if terms:
+            # one rank-one's rows are those of its f, whatever e(j) is
+            key = tuple(terms) if len(terms) > 1 else ((terms[0][0], 1.0),)
+            if key not in reach:
+                reach[key] = _range_rows([(c, ranks[k].f) for k, c in key], need)
+            found, complete = reach[key]
+            rows.update(found)
         for i in sorted(rows):
             v = entry(C, i, j)
             if v != 0.0:
                 return j, i, v
+        if not complete:
+            raise UndecidableBoundary(
+                f"the scan at index {j} did not find all rank-one range rows within the scan budget of {SCAN_BUDGET}"
+            )
     return None
 
 

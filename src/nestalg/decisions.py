@@ -110,15 +110,18 @@ def mult_zero_test(task: MultiplicationTask) -> MultVerdict:
     # chosen row down, where the pairing is automatically admissible.
     ca, cb = canonicalize(task.a), canonicalize(task.b)
     start = r.value + 1 if math.isfinite(r.value) else row_support(cb).lo
-    found = first_nonzero_column(op_adjoint(cb), int(start) if math.isfinite(start) else -SCAN_BUDGET // 2)
-    if found is None:
-        return MultVerdict("zero", "Unknown", "nonzero by boundaries but witness scan failed", detail)
-    ib, jb, bval = found
-    ja = exact_col_lo(ca)
-    if math.isfinite(ja):
-        ia_probe = first_nonzero_column(ca, int(ja))
-    else:
-        ia_probe = first_nonzero_column(ca, int(min(ib, col_support(ca).hi)), -1)
+    try:
+        found = first_nonzero_column(op_adjoint(cb), int(start) if math.isfinite(start) else -SCAN_BUDGET // 2)
+        if found is None:
+            return MultVerdict("zero", "Unknown", "nonzero by boundaries but witness scan failed", detail)
+        ib, jb, bval = found
+        ja = exact_col_lo(ca)
+        if math.isfinite(ja):
+            ia_probe = first_nonzero_column(ca, int(ja))
+        else:
+            ia_probe = first_nonzero_column(ca, int(min(ib, col_support(ca).hi)), -1)
+    except UndecidableBoundary as exc:
+        return MultVerdict("zero", "Unknown", f"witness scan not certified: {exc}", detail)
     if ia_probe is None:
         return MultVerdict("zero", "Unknown", "column witness for a vanished unexpectedly", detail)
     ja, ia, aval = ia_probe

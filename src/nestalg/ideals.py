@@ -30,6 +30,7 @@ from .operators import (
     OperatorExpr,
     ZeroOp,
     canonicalize,
+    compress,
     entry,
     flatten_sum,
     interval_proj,
@@ -112,8 +113,7 @@ def reconstruction_residual(a: OperatorExpr, f: FiniteSubnest, window) -> float:
 
 def _atom_norm(a: OperatorExpr, lo: float, hi: float, cap: int = 256, iters: int = 200) -> NormInterval:
     """Norm interval of one diagonal block."""
-    p = interval_proj(lo, hi)
-    block = canonicalize(op_product(op_product(p, a), p))
+    block = compress(a, lo, hi)
     if isinstance(block, ZeroOp):
         return NormInterval(0.0, 0.0)
     hi_bound = norm_bound(block)

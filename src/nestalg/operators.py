@@ -19,6 +19,14 @@ a windowed inner product with a certified tail slack; the rewrite is
 only taken when the slack is below 1e-12 relative).  Entry evaluation
 and truncated rendering are exact on the canonical product-free core.
 
+Nodes are interned (rules.Node): building a node whose fields match
+a live node returns that node, so equal trees are one object and
+equality is identity.  A node stores what it computes once: its sort
+key as a part of a sum, its canonical form (a fixpoint is marked, so a
+canonical subtree is never walked again), its compressions, and for a
+finite block a read-only array.  canonicalize has no cache besides:
+what a node stores goes when the node does.
+
 The matrix convention: (e (x) f) maps h to <h, e> f, so the entry at
 (row i, column j) is e(j) * f(i); column support is the support of e.
 All scalars are real doubles.
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -40,6 +48,7 @@ from .rules import (
     NEG_INF,
     NUMBER,
     ONE_RULE,
+    Node,
     POS_INF,
     RULE,
     Codec,
@@ -68,11 +77,22 @@ MERGE_RTOL = 1e-12
 INNER_WINDOW = 1 << 15
 
 
-class OperatorExpr:
+class OperatorExpr(Node):
     """Base class for expression nodes; all concrete nodes are frozen."""
 
+    @cached_property
+    def _part_key(self):
+        """Sort key of a part of a canonical sum."""
+        if isinstance(self, Band):
+            return (0, self.offset, repr(self.rule))
+        if isinstance(self, RankOne):
+            return (1, 0, repr(self.e.rule) + "|" + repr(self.f.rule))
+        if isinstance(self, FiniteMatrix):
+            return (2, self.row_lo, repr(self.rows))
+        return (3, 0, repr(self))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class ZeroOp(OperatorExpr):
     def __repr__(self):
         return "Zero"
@@ -81,8 +101,8 @@ class ZeroOp(OperatorExpr):
 ZERO = ZeroOp()
 
 
-@dataclass(frozen=True)
-class RuledVector:
+@dataclass(frozen=True, eq=False, init=False)
+class RuledVector(Node):
     """A vector whose entries come from a sequence rule."""
 
     rule: SeqRule
@@ -115,7 +135,7 @@ def basis_vector(i: int) -> RuledVector:
     return RuledVector(rule_finite({i: 1.0}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Band(OperatorExpr):
     rule: SeqRule
     offset: int
@@ -124,13 +144,13 @@ class Band(OperatorExpr):
         return f"Band(off={self.offset}, {self.rule!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class RankOne(OperatorExpr):
     e: RuledVector
     f: RuledVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteMatrix(OperatorExpr):
     row_lo: int
     col_lo: int
@@ -144,11 +164,18 @@ class FiniteMatrix(OperatorExpr):
     def col_hi(self) -> int:
         return self.col_lo + (len(self.rows[0]) - 1 if self.rows else -1)
 
+    @cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.array([list(r) for r in self.rows], dtype=float)
+        arr.flags.writeable = False
+        return arr
+
     def as_array(self) -> np.ndarray:
-        return np.array([list(r) for r in self.rows], dtype=float)
+        """The block as a read-only array, built once."""
+        return self._array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SumOp(OperatorExpr):
     left: OperatorExpr
     right: OperatorExpr
@@ -158,13 +185,13 @@ class SumOp(OperatorExpr):
         return flatten_sum(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ScaleOp(OperatorExpr):
     scalar: float
     x: OperatorExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ProductOp(OperatorExpr):
     left: OperatorExpr
     right: OperatorExpr
@@ -223,19 +250,20 @@ def finite_matrix(row_lo: int, col_lo: int, entries) -> OperatorExpr:
     rows = tuple(tuple(float(v) for v in row) for row in entries)
     if rows and len({len(r) for r in rows}) != 1:
         raise SchemaError("finite matrix rows must have equal length")
-    return _trim_finite(FiniteMatrix(int(row_lo), int(col_lo), rows))
+    return _trim_finite(int(row_lo), int(col_lo), np.array(rows, dtype=float))
 
 
-def _trim_finite(m: FiniteMatrix) -> OperatorExpr:
-    arr = m.as_array()
-    if arr.size == 0 or not np.any(arr):
+def _trim_finite(row_lo: int, col_lo: int, arr: np.ndarray) -> OperatorExpr:
+    """The block arr with its top left entry at (row_lo, col_lo), trimmed to
+    its nonzero rows and columns."""
+    nz = arr != 0.0
+    if not nz.any():
         return ZERO
-    nz_rows = np.nonzero(np.any(arr != 0.0, axis=1))[0]
-    nz_cols = np.nonzero(np.any(arr != 0.0, axis=0))[0]
+    nz_rows, nz_cols = np.flatnonzero(nz.any(axis=1)), np.flatnonzero(nz.any(axis=0))
     r0, r1 = int(nz_rows[0]), int(nz_rows[-1])
     c0, c1 = int(nz_cols[0]), int(nz_cols[-1])
     sub = arr[r0 : r1 + 1, c0 : c1 + 1]
-    return FiniteMatrix(m.row_lo + r0, m.col_lo + c0, tuple(tuple(v) for v in sub.tolist()))
+    return FiniteMatrix(row_lo + r0, col_lo + c0, tuple(map(tuple, sub.tolist())))
 
 
 def op_sum(*terms) -> OperatorExpr:
@@ -259,7 +287,7 @@ def op_scale(scalar: float, x: OperatorExpr) -> OperatorExpr:
     if isinstance(x, RankOne):
         return RankOne(x.e, RuledVector(rule_scale(x.f.rule, s)))
     if isinstance(x, FiniteMatrix):
-        return _trim_finite(FiniteMatrix(x.row_lo, x.col_lo, tuple(tuple(s * v for v in r) for r in x.rows)))
+        return _trim_finite(x.row_lo, x.col_lo, s * x.as_array())
     if isinstance(x, SumOp):
         return op_sum(op_scale(s, x.left), op_scale(s, x.right))
     if isinstance(x, ScaleOp):
@@ -352,16 +380,6 @@ def flatten_sum(T: OperatorExpr) -> list:
     return [T]
 
 
-def _part_key(p: OperatorExpr):
-    if isinstance(p, Band):
-        return (0, p.offset, repr(p.rule))
-    if isinstance(p, RankOne):
-        return (1, 0, repr(p.e.rule) + "|" + repr(p.f.rule))
-    if isinstance(p, FiniteMatrix):
-        return (2, p.row_lo, repr(p.rows))
-    return (3, 0, repr(p))
-
-
 def _merge_parts(parts: list) -> list:
     bands = {}
     finites = []
@@ -386,7 +404,7 @@ def _merge_parts(parts: list) -> list:
         if not isinstance(merged_fm, ZeroOp):
             out.append(merged_fm)
     out.extend(rest)
-    return sorted(out, key=_part_key)
+    return sorted(out, key=lambda p: p._part_key)
 
 
 def _merge_finite(ms: list) -> OperatorExpr:
@@ -397,7 +415,7 @@ def _merge_finite(ms: list) -> OperatorExpr:
     acc = np.zeros((r1 - r0 + 1, c1 - c0 + 1))
     for m in ms:
         acc[m.row_lo - r0 : m.row_hi - r0 + 1, m.col_lo - c0 : m.col_hi - c0 + 1] += m.as_array()
-    return _trim_finite(FiniteMatrix(r0, c0, tuple(tuple(v) for v in acc.tolist())))
+    return _trim_finite(r0, c0, acc)
 
 
 def _pair_product(l: OperatorExpr, r: OperatorExpr) -> OperatorExpr:
@@ -463,7 +481,7 @@ def _pair_product(l: OperatorExpr, r: OperatorExpr) -> OperatorExpr:
             return ZERO
         la = l.as_array()[:, k0 - l.col_lo : k1 - l.col_lo + 1]
         ra = r.as_array()[k0 - r.row_lo : k1 - r.row_lo + 1, :]
-        return _trim_finite(FiniteMatrix(l.row_lo, r.col_lo, tuple(tuple(v) for v in (la @ ra).tolist())))
+        return _trim_finite(l.row_lo, r.col_lo, la @ ra)
     return ProductOp(l, r)
 
 
@@ -477,13 +495,11 @@ def _table_to_finite(table: dict) -> OperatorExpr:
     acc = np.zeros((r1 - r0 + 1, c1 - c0 + 1))
     for (i, j), v in table.items():
         acc[i - r0, j - c0] = v
-    return _trim_finite(FiniteMatrix(r0, c0, tuple(tuple(v) for v in acc.tolist())))
+    return _trim_finite(r0, c0, acc)
 
 
 def _canon_once(T: OperatorExpr) -> OperatorExpr:
-    if isinstance(T, (ZeroOp, Band, FiniteMatrix)):
-        return T
-    if isinstance(T, RankOne):
+    if isinstance(T, (ZeroOp, Band, RankOne, FiniteMatrix)) or T.__dict__.get("_canon") is _SELF:
         return T
     if isinstance(T, SumOp):
         parts = []
@@ -512,16 +528,44 @@ def _canon_once(T: OperatorExpr) -> OperatorExpr:
     raise SchemaError(f"unknown node {T!r}")
 
 
-@lru_cache(maxsize=None)
+_SELF = object()  # a stored form that is the node itself, kept without a self-reference
+
+
 def canonicalize(T: OperatorExpr) -> OperatorExpr:
-    """Rewrite to the product-free core; fixpoint within a bounded pass count."""
+    """Rewrite to the product-free core; fixpoint within a bounded pass count.
+
+    The result is stored on T, and a fixpoint is marked, so each live node
+    is canonicalized once and `_canon_once` skips canonical subtrees.  A
+    result cut off by the pass cap is stored for T but is not marked.
+    """
+    known = T.__dict__.get("_canon")
+    if known is not None:
+        return T if known is _SELF else known
     cur = T
     for _ in range(8):
         nxt = _canon_once(cur)
-        if nxt == cur:
-            return cur
+        if nxt is cur:
+            cur.__dict__["_canon"] = _SELF
+            break
         cur = nxt
+    if cur is not T:
+        T.__dict__["_canon"] = cur
     return cur
+
+
+def compress(T: OperatorExpr, lo, hi) -> OperatorExpr:
+    """canonicalize(P T P) for P = interval_proj(lo, hi), stored on T per window.
+
+    The decisions ask for the same compressions of their operands from
+    question to question; the stored ones go when T does.
+    """
+    memo = T.__dict__.setdefault("_compressions", {})
+    C = memo.get((lo, hi))
+    if C is None:
+        p = interval_proj(lo, hi)
+        C = canonicalize(op_product(op_product(p, T), p))
+        memo[(lo, hi)] = _SELF if C is T else C
+    return T if C is _SELF else C
 
 
 def is_product_free(T: OperatorExpr) -> bool:

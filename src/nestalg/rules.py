@@ -17,12 +17,22 @@ questions used by the decision procedures:
 
 All bounds are one-sided promises, never estimates: looseness only ever
 weakens a derived norm envelope, it cannot flip a verdict.
+
+Rules, like the operator expressions built on them, are interned nodes
+(see Node): equal trees are one object, equality is identity, and each
+rule computes its support once.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+import struct
+import weakref
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .errors import SchemaError, UnboundedRule, UnknownSupport
@@ -59,8 +69,73 @@ def _side_contains(n: int, direction: int, i: float) -> bool:
     return i >= n if direction > 0 else i <= n
 
 
-class SeqRule:
-    """Base class; subclasses are frozen dataclasses."""
+# ---------------------------------------------------------------------------
+# interning: one live object per distinct expression node
+
+
+def _table_bits(rows) -> tuple:
+    """Rows of numbers (or (index, value) pairs) by shape and double bits."""
+    return len(rows), array("d", chain.from_iterable(rows)).tobytes()
+
+
+# fields keyed by their bits, by annotation; every other field by value,
+# which for a node field is its identity
+_FIELD_KEYS = {"float": struct.Struct("<d").pack, "tuple": _table_bits}
+_INTERNED = {}  # key -> weak reference to the live node with that key
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
+
+class Node:
+    """Base of the expression nodes, frozen dataclasses with init=False and
+    eq=False: calling a node class with the fields of a live node returns
+    that node, so equal trees are one object, and equality and hashing are
+    by identity.  Pickling and copying call the class too.  Floats are
+    keyed by their bits, so -0.0 and 0.0 stay apart.
+    """
+
+    _fields, _field_keys, _signature = (), None, inspect.Signature()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__dict__.get("__annotations__")
+        if fields:
+            keys = tuple(_FIELD_KEYS.get(t) for t in fields.values())
+            cls._fields, cls._field_keys = tuple(fields), keys if any(keys) else None
+            cls._signature = inspect.Signature(
+                [inspect.Parameter(f, inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in fields]
+            )
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):  # binds keywords, or raises TypeError
+            args = tuple(cls._signature.bind(*args, **kwargs).arguments.values())
+        keys = cls._field_keys
+        if keys is None:
+            key = (cls.__name__, *args)
+        else:
+            key = (cls.__name__, *[a if k is None else k(a) for k, a in zip(keys, args)])
+        ref = _INTERNED.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls._fields, args))
+            _INTERNED[key] = ref = _Ref(node, _forget)
+            ref.key = key
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class SeqRule(Node):
+    """Base class of the rule nodes."""
 
     def value(self, i: int) -> float:
         raise NotImplementedError
@@ -124,14 +199,14 @@ def _scan_period(rule: SeqRule, threshold: float, direction: int, profile) -> bo
 # atomic kinds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ConstRule(SeqRule):
     c: float
 
     def value(self, i: int) -> float:
         return self.c
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return FULL_SUPPORT if self.c != 0.0 else EMPTY_SUPPORT
 
@@ -160,7 +235,7 @@ class ConstRule(SeqRule):
         return (1, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class IndicatorRule(SeqRule):
     """1 on the integer interval [lo, hi], 0 elsewhere; endpoints may be inf."""
 
@@ -170,7 +245,7 @@ class IndicatorRule(SeqRule):
     def value(self, i: int) -> float:
         return 1.0 if self.lo <= i <= self.hi else 0.0
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return Support(self.lo, self.hi, True)
 
@@ -212,7 +287,7 @@ class IndicatorRule(SeqRule):
         return (1, int(self.lo) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PowerDecayRule(SeqRule):
     """|i|^(-p) away from the origin, 0 at i = 0; p > 0."""
 
@@ -221,7 +296,7 @@ class PowerDecayRule(SeqRule):
     def value(self, i: int) -> float:
         return 0.0 if i == 0 else abs(i) ** (-self.p)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return FULL_SUPPORT
 
@@ -256,7 +331,7 @@ class PowerDecayRule(SeqRule):
         return "nonneg"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class GeomDecayRule(SeqRule):
     """r^|i| with 0 < |r| < 1."""
 
@@ -265,7 +340,7 @@ class GeomDecayRule(SeqRule):
     def value(self, i: int) -> float:
         return self.r ** abs(i)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return FULL_SUPPORT
 
@@ -297,7 +372,7 @@ class GeomDecayRule(SeqRule):
         return "nonneg" if self.r >= 0.0 else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteRule(SeqRule):
     """Explicit finitely supported table; entries sorted, values nonzero."""
 
@@ -309,7 +384,7 @@ class FiniteRule(SeqRule):
                 return v
         return 0.0
 
-    @property
+    @cached_property
     def support(self) -> Support:
         if not self.entries:
             return EMPTY_SUPPORT
@@ -346,7 +421,7 @@ class FiniteRule(SeqRule):
         return (1, int(sup.lo) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class CombRule(SeqRule):
     """1 on a residue class mod m, 0 elsewhere; the canonical plateau."""
 
@@ -356,7 +431,7 @@ class CombRule(SeqRule):
     def value(self, i: int) -> float:
         return 1.0 if i % self.modulus == self.residue else 0.0
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return FULL_SUPPORT
 
@@ -386,7 +461,7 @@ class CombRule(SeqRule):
 # combinators
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ScaledRule(SeqRule):
     base: SeqRule
     factor: float
@@ -394,7 +469,7 @@ class ScaledRule(SeqRule):
     def value(self, i: int) -> float:
         return self.factor * self.base.value(i)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         return self.base.support
 
@@ -432,7 +507,7 @@ class ScaledRule(SeqRule):
         return self.base.infinite_plateau(threshold / abs(self.factor), direction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ShiftedRule(SeqRule):
     base: SeqRule
     offset: int
@@ -440,7 +515,7 @@ class ShiftedRule(SeqRule):
     def value(self, i: int) -> float:
         return self.base.value(i - self.offset)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         sup = self.base.support
         if sup.is_empty:
@@ -481,7 +556,7 @@ class ShiftedRule(SeqRule):
         return self.base.infinite_plateau(threshold, direction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class MaskedRule(SeqRule):
     """base on the interval [lo, hi], 0 outside."""
 
@@ -492,7 +567,7 @@ class MaskedRule(SeqRule):
     def value(self, i: int) -> float:
         return self.base.value(i) if self.lo <= i <= self.hi else 0.0
 
-    @property
+    @cached_property
     def support(self) -> Support:
         bs = self.base.support
         lo, hi = max(bs.lo, self.lo), min(bs.hi, self.hi)
@@ -562,7 +637,7 @@ class MaskedRule(SeqRule):
         return SeqRule.infinite_plateau(self, threshold, direction) if self.periodic_profile(direction) is not None else self.base.infinite_plateau(threshold, direction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ProductRule(SeqRule):
     left: SeqRule
     right: SeqRule
@@ -570,7 +645,7 @@ class ProductRule(SeqRule):
     def value(self, i: int) -> float:
         return self.left.value(i) * self.right.value(i)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         ls, rs = self.left.support, self.right.support
         lo, hi = max(ls.lo, rs.lo), min(ls.hi, rs.hi)
@@ -627,7 +702,7 @@ class ProductRule(SeqRule):
         return _combine_profiles(self.left, self.right, direction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SumRule(SeqRule):
     left: SeqRule
     right: SeqRule
@@ -635,7 +710,7 @@ class SumRule(SeqRule):
     def value(self, i: int) -> float:
         return self.left.value(i) + self.right.value(i)
 
-    @property
+    @cached_property
     def support(self) -> Support:
         ls, rs = self.left.support, self.right.support
         if ls.is_empty:

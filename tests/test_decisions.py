@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nestalg.algebra import MultiplicationTask
 from nestalg.catalog import TASK_SPECIMENS, find_task
@@ -15,8 +17,11 @@ from nestalg.decisions import (
     quotient_verdict,
     range_in_compacts_sampler,
 )
+from nestalg.errors import NotInAlgebra
 from nestalg.nests import make_nest
 from nestalg.operators import (
+    RuledVector,
+    band,
     basis_vector,
     diag,
     finite_matrix,
@@ -27,8 +32,8 @@ from nestalg.operators import (
     rank_one,
     render,
 )
-from nestalg.rules import rule_geometric, rule_indicator
-from nestalg.scenarios import SWEEP_NESTS, random_member_pair
+from nestalg.rules import rule_finite, rule_geometric, rule_indicator
+from nestalg.scenarios import SWEEP_NESTS, brute_force_zero, random_member_pair
 
 
 def build_task(spec):
@@ -198,3 +203,68 @@ def test_compact_implies_weak_on_catalog():
         if mult_compact_decision(task).status == "Compact":
             v = mult_weak_decision(task)
             assert v.status in ("WeaklyCompact", "Unknown"), spec.name
+
+
+def _rank_one(col_table, row_table):
+    return rank_one(RuledVector(rule_finite(col_table)), RuledVector(rule_finite(row_table)))
+
+
+def test_zero_test_sees_a_column_whose_rank_ones_cancel_at_their_first_rows():
+    # column 3 of a is (e_1 + e_2) + (-e_1 + e_3) = e_2 + e_3: the two range
+    # vectors cancel at row 1, the first nonzero row of each
+    a = op_sum(_rank_one({3: 1.0}, {1: 1.0, 2: 1.0}), _rank_one({3: 1.0}, {1: -1.0, 3: 1.0}),
+               _rank_one({10: 1.0}, {1: 1.0}))
+    task = MultiplicationTask.build(make_nest({"basis": "N", "cuts": "all"}), a, rank_one(basis_vector(5), basis_vector(5)))
+    assert not brute_force_zero(task, res=0.0)
+    v = mult_zero_test(task)
+    assert v.status == "NonZero"
+    assert v.detail["witness"]["input"]["f_index"] == 3
+
+
+def test_zero_test_is_unknown_when_a_range_row_lies_beyond_the_scan_budget():
+    # column 600 of a is e_600: its rank-ones cancel at row 1, and row 600
+    # lies beyond SCAN_BUDGET rows from the support start
+    a = op_sum(_rank_one({600: 1.0}, {1: 1.0, 600: 1.0}), _rank_one({600: 1.0}, {1: -1.0}),
+               _rank_one({700: 1.0}, {1: 1.0}))
+    b = rank_one(basis_vector(650), basis_vector(650))
+    task = MultiplicationTask.build(make_nest({"basis": "N", "cuts": "all"}), a, b)
+    v = mult_zero_test(task)
+    assert v.status == "Unknown"
+    assert "scan budget of 512" in v.reason
+
+
+_ENTRIES = st.sampled_from([-1.0, -0.5, 0.5, 1.0])
+
+
+@st.composite
+def shared_column_member(draw, lo):
+    """2-4 finitely supported rank-ones on one domain column whose range
+    vectors all meet one row, plus a band and a finite block, each of them
+    possibly zero; every entry sits on or above the diagonal, so the sum
+    is in Alg N on N-all and Z-all."""
+    col = draw(st.integers(lo + 2, lo + 10))
+    rows = st.integers(lo, col)
+    common = draw(rows)
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        cols = {col: draw(_ENTRIES), **draw(st.dictionaries(st.integers(col, col + 6), _ENTRIES, max_size=2))}
+        range_rows = {common: draw(_ENTRIES), **draw(st.dictionaries(rows, _ENTRIES, max_size=2))}
+        parts.append(_rank_one(cols, range_rows))
+    band_rule = rule_finite(draw(st.dictionaries(st.integers(lo, lo + 16), _ENTRIES, max_size=2)))
+    parts.append(band(band_rule, draw(st.integers(-3, 0))))
+    n, at = draw(st.integers(0, 2)), draw(st.integers(lo, lo + 16))
+    parts.append(finite_matrix(at, at, [[draw(_ENTRIES) if c >= r else 0.0 for c in range(n)] for r in range(n)]))
+    return op_sum(*parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["N", "Z"]), st.data())
+def test_zero_verdict_implies_brute_force_zero(basis, data):
+    lo = 1 if basis == "N" else -6
+    a, b = data.draw(shared_column_member(lo)), data.draw(shared_column_member(lo))
+    try:
+        task = MultiplicationTask.build(make_nest({"basis": basis, "cuts": "all"}), a, b)
+    except NotInAlgebra:
+        assume(False)
+    if mult_zero_test(task).status == "Zero":
+        assert brute_force_zero(task, res=0.0)

@@ -1,15 +1,24 @@
 """Operator expressions: constructors, canonical forms, rendering, entries."""
 
+import copy
+import gc
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nestalg import rules as rule_module
 from nestalg.errors import SchemaError, UnboundedRule
 from nestalg.operators import (
     ZERO,
+    Band,
+    FiniteMatrix,
+    RankOne,
+    RuledVector,
+    SumOp,
     apply_to_vector,
     band,
     basis_vector,
@@ -37,6 +46,8 @@ from nestalg.operators import (
 )
 from nestalg.rules import (
     RULE_SCHEMA,
+    FiniteRule,
+    PowerDecayRule,
     rule_comb,
     rule_const,
     rule_finite,
@@ -477,3 +488,63 @@ def test_projection_sum_is_idempotent_on_disjoint_cells(cells):
     lo, hi = -8, 8
     M = dense(p, lo, hi)
     assert np.allclose(M @ M, M)
+
+
+# ---------------------------------------------------------------------------
+# interning: equal trees are one object
+
+
+def _mixed_tree():
+    return op_sum(
+        band(rule_harmonic(), -1),
+        rank_one(basis_vector(2), basis_vector(5)),
+        finite_matrix(0, 1, [[1.0, 2.0], [0.0, -3.0]]),
+    )
+
+
+def test_every_construction_path_returns_the_interned_node():
+    T = _mixed_tree()
+    parsed = parse_operator({"op": "sum", "terms": [
+        {"op": "band", "rule": {"kind": "harmonic"}, "offset": -1},
+        {"op": "rank_one", "e": {"kind": "finite", "table": {"2": 1.0}}, "f": {"kind": "finite", "table": {"5": 1.0}}},
+        {"op": "finite_matrix", "row_lo": 0, "col_lo": 1, "entries": [[1.0, 2.0], [0.0, -3.0]]},
+    ]})
+    direct = SumOp(
+        SumOp(Band(PowerDecayRule(1.0), -1),
+              RankOne(RuledVector(FiniteRule(((2, 1.0),))), RuledVector(FiniteRule(((5, 1.0),))))),
+        FiniteMatrix(0, 1, ((1.0, 2.0), (0.0, -3.0))),
+    )
+    assert parsed is T
+    assert op_adjoint(op_adjoint(T)) is T
+    assert direct is T
+    assert Band(rule=PowerDecayRule(p=1.0), offset=-1) is band(rule_harmonic(), -1)
+    assert copy.copy(T) is T and copy.deepcopy(T) is T and pickle.loads(pickle.dumps(T)) is T
+    assert T == direct and hash(T) == hash(direct)
+
+
+def test_canonical_form_is_a_marked_fixpoint():
+    T = op_product(op_sum(identity(), _mixed_tree()), op_adjoint(_mixed_tree()))
+    C = canonicalize(T)
+    assert canonicalize(C) is C
+    assert canonicalize(T) is C
+
+
+def test_signed_zeros_stay_apart_and_round_trip_bit_exact():
+    neg = finite_matrix(0, 0, [[1.0, -0.0, 2.0]])
+    pos = finite_matrix(0, 0, [[1.0, 0.0, 2.0]])
+    assert neg is not pos
+    again = parse_operator(json.loads(json.dumps(operator_to_json(neg))))
+    assert again is neg
+    assert np.signbit(again.rows[0][1])
+    assert rule_const(-0.0) is not rule_const(0.0)
+
+
+def test_dropped_nodes_leave_the_intern_table():
+    gc.collect()
+    before = len(rule_module._INTERNED)
+    T = op_sum(band(rule_geometric(0.123), 2), finite_matrix(40, 41, [[0.25, 0.5]]))
+    C = canonicalize(op_product(T, op_adjoint(T)))
+    assert len(rule_module._INTERNED) > before
+    del T, C
+    gc.collect()
+    assert len(rule_module._INTERNED) == before
