@@ -8,7 +8,9 @@ each question's status, reason and repr of its detail, and over the
 render bytes of both canonical operands on a fixed window.  Two versions
 of the program that print the same digest give the same verdicts and the
 same canonical operands; an operation that raises enters the digest as
-its exception.
+its exception.  After each pool's digest line comes that pool's count of
+each (question, status) pair, so a change whose details move while its
+decided statuses stay put shows as a new digest over the same counts.
 
 Run from the root of the repository:
 
@@ -19,6 +21,7 @@ import argparse
 import hashlib
 import os
 import sys
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -33,12 +36,13 @@ from nestalg.operators import render  # noqa: E402
 WINDOWS = {"N": (1, 48), "Z": (-24, 24)}  # operand render windows, by basis
 
 
-def op_lines(op):
-    """The digest lines of one decide operation."""
+def op_lines(op, counts: Counter):
+    """The digest lines of one decide operation; counts each (question, status)."""
     nest = make_nest(op.nest)
     try:
         task = algebra.MultiplicationTask.build(nest, op.inputs["a"], op.inputs["b"])
     except Exception as exc:  # a refused task is part of the behaviour
+        counts["build", type(exc).__name__] += 1
         return [f"build: {type(exc).__name__}: {exc}".encode()]
     lo, hi = WINDOWS[nest.basis]
     lines = [render(task.a, lo, hi).tobytes(), render(task.b, lo, hi).tobytes()]
@@ -46,19 +50,22 @@ def op_lines(op):
         try:
             v = getattr(decisions, fn)(task)
             lines.append(f"{q}|{v.status}|{v.reason}|{v.detail!r}".encode())
+            counts[q, v.status] += 1
         except Exception as exc:
             lines.append(f"{q}: {type(exc).__name__}: {exc}".encode())
+            counts[q, type(exc).__name__] += 1
     return lines
 
 
 def digest(workload: str, seed: int, rnd: int, limit=None):
-    """(operation count, hex SHA-256) of the decide operations of one pool."""
+    """(operation count, hex SHA-256, (question, status) counts) of the
+    decide operations of one pool."""
     ops = [op for op in workloads.POOLS[workload](seed, rnd) if op.kind == "decide"][:limit]
-    h = hashlib.sha256()
+    h, counts = hashlib.sha256(), Counter()
     for op in ops:
-        for line in op_lines(op):
+        for line in op_lines(op, counts):
             h.update(len(line).to_bytes(8, "little") + line)
-    return len(ops), h.hexdigest()
+    return len(ops), h.hexdigest(), counts
 
 
 def main(argv=None):
@@ -73,10 +80,11 @@ def main(argv=None):
     for workload in args.workload:
         for seed in args.seeds:
             for rnd in args.rounds:
-                n, hexd = digest(workload, seed, rnd, args.limit)
+                n, hexd, counts = digest(workload, seed, rnd, args.limit)
                 total += n
                 overall.update(hexd.encode())
                 print(f"{workload} seed={seed} round={rnd} ops={n} sha256={hexd}")
+                print("  " + " ".join(f"{q}:{status}={c}" for (q, status), c in sorted(counts.items())))
     print(f"total ops={total} sha256={overall.hexdigest()}")
     return 0
 

@@ -1,15 +1,19 @@
 """Compactness classification and boundary projections for nest operators.
 
 The canonical core makes compactness decidable in all the cases this
-package promises: a banded part is compact exactly when its amplitude
-rule vanishes in both directions, rank-one and finite parts are always
-compact, and a banded part whose amplitudes stay above a threshold
-infinitely often is certifiably noncompact.  The noncompact certificate
-is a plateau: infinitely many matrix positions carrying |entry| >= delta
-along coordinate basis vectors that converge weakly to zero, which keeps
-the distance to every compact operator at least delta after discounting
-the (summable, hence vanishing) interference of rank-one and finite
-parts at those positions.
+package promises.  Toward each end a band's rule is a periodic part P
+plus a certified vanishing envelope (rules.Tail), so a banded part is
+compact exactly when P = 0 toward both ends, and rank-one and finite
+parts are always compact.  Otherwise limsup |entry| = max|P| along the
+band.  The entries are float evaluations of the exact rule, so both
+verdicts read it through bounds that allow for the rounding
+(SeqRule.plateau and SeqRule.ceiling), and a rule that cancels to within
+that allowance stays Unknown.  The noncompact certificate is a plateau:
+infinitely many matrix positions carrying |entry| >= delta along
+coordinate basis vectors that converge weakly to zero, which keeps the
+distance to every compact operator at least delta after discounting the
+(summable, hence vanishing) interference of rank-one and finite parts at
+those positions.
 
 Two boundary computations live here as well:
 
@@ -154,56 +158,27 @@ def _interference_at(parts, skip, offset: int, direction: int, n: int) -> float:
     return total
 
 
-def _suppress_interference(parts, band_part, direction: int, delta: float):
+def _plateau_certs(parts, band_part, direction: int):
+    """Noncompactness certificates of one band toward one end.
+
+    Beyond n, |value(i)| of the band's rule reaches its plateau() level
+    less env(n) at infinitely many columns j (rules.Tail), where the other
+    parts interfere by at most interference(n).  One certificate for each
+    n = n0 * 2^k <= INTERFERENCE_CAP where env(n) + interference(n) stays
+    below half the plateau; later ones keep more of it.
+    """
+    level = band_part.rule.plateau(direction)
     n = max(64, _fm_extent(parts) + abs(band_part.offset) + 1)
-    while n <= INTERFERENCE_CAP:
+    while level > 0.0 and n <= INTERFERENCE_CAP:
+        threshold = math.nextafter(level - band_part.rule.tail(direction).env(n), -POS_INF)
         ib = _interference_at(parts, band_part, band_part.offset, direction, n)
-        if ib < delta / 2.0:
-            return ib, n
+        if threshold - ib > level / 2.0:
+            yield PlateauCertificate(band_part.offset, direction, threshold, ib, n)
         n *= 2
-    return None, None
 
 
-def _first_plateau_cert(parts, band_part) -> PlateauCertificate | None:
-    """Noncompactness certificate at half the tail bound, halving on failure."""
-    for direction in (+1, -1):
-        ts = band_part.rule.tail_sup(direction)
-        if ts <= 0.0:
-            continue
-        for frac in (0.5, 0.25, 0.125, 0.0625, 0.03125):
-            delta = ts * frac
-            if delta <= 0.0:
-                break
-            if band_part.rule.infinite_plateau(delta, direction) is True:
-                ib, n = _suppress_interference(parts, band_part, direction, delta)
-                if ib is not None:
-                    return PlateauCertificate(band_part.offset, direction, delta, ib, n)
-                break
-    return None
-
-
-def _best_plateau_lower(parts, band_part, direction: int) -> float:
-    """Largest certified plateau level for one band in one direction."""
-    ts = band_part.rule.tail_sup(direction)
-    if ts <= 0.0:
-        return 0.0
-    best = 0.0
-    for frac in (1.0 - 1e-9, 0.99, 0.9, 0.75, 0.5, 0.25, 0.125, 0.0625, 0.03125):
-        delta = ts * frac
-        if delta <= best:
-            break
-        ok = band_part.rule.infinite_plateau(delta, direction)
-        if ok is True:
-            ib, _ = _suppress_interference(parts, band_part, direction, delta)
-            if ib is not None and delta - ib > best:
-                best = delta - ib
-                break
-    return best
-
-
-def _band_vanishes(p: Band):
-    tp, tm = p.rule.tail_sup(+1), p.rule.tail_sup(-1)
-    return tp == 0.0 and tm == 0.0
+def _band_vanishes(p: Band) -> bool:
+    return p.rule.ceiling(+1) == 0.0 and p.rule.ceiling(-1) == 0.0
 
 
 def classify_compact(T: OperatorExpr) -> CompactVerdict:
@@ -231,15 +206,22 @@ def classify_compact(T: OperatorExpr) -> CompactVerdict:
             "Compact", reason="band amplitudes vanish in both directions; other parts have finite rank"
         )
     for p in pending:
-        cert = _first_plateau_cert(parts, p)
-        if cert is not None:
-            return CompactVerdict(
-                "NonCompact",
-                certificate=cert,
-                reason=f"band at offset {cert.offset} keeps |entry| >= {cert.threshold:.6g} "
-                f"toward {'+' if cert.direction > 0 else '-'}infinity",
-            )
-    return CompactVerdict("Unknown", reason="band tail does not vanish but no plateau was certified")
+        for direction in (+1, -1):
+            cert = next(_plateau_certs(parts, p, direction), None)
+            if cert is not None:
+                return CompactVerdict(
+                    "NonCompact",
+                    certificate=cert,
+                    reason=f"band at offset {cert.offset} keeps |entry| >= {cert.threshold:.6g} "
+                    f"toward {'+' if cert.direction > 0 else '-'}infinity",
+                )
+    if any(p.rule.tail(d) is None for p in pending for d in (+1, -1)):
+        return CompactVerdict("Unknown", reason=f"a band rule's period exceeds the scan budget of {SCAN_BUDGET}")
+    if all(p.rule.plateau(d) == 0.0 for p in pending for d in (+1, -1)):
+        return CompactVerdict("Unknown", reason="band tail is within the float rounding allowance of 0")
+    return CompactVerdict(
+        "Unknown", reason=f"band tail does not vanish but other parts interfere up to index {INTERFERENCE_CAP}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +399,9 @@ def limit_restricted_norm(T: OperatorExpr, direction: int) -> NormInterval:
     The limit over c of || T Proj(columns beyond c) || and the limit of
     || Proj(rows beyond c) T || are the same number, where "beyond" runs
     to +inf for direction +1 and to -inf for -1: rank-one and finite
-    parts vanish in the limit either way, and each band leaves its tail
-    supremum in that direction.  The limits exist because the
+    parts vanish in the limit either way, and each band leaves at most
+    its ceiling() in that direction and at least the best effective level
+    of its plateau certificates.  The limits exist because the
     restrictions shrink monotonically.
     """
     C = canonicalize(T)
@@ -427,14 +410,12 @@ def limit_restricted_norm(T: OperatorExpr, direction: int) -> NormInterval:
     lo = 0.0
     for p in parts:
         if isinstance(p, Band):
-            hi += p.rule.tail_sup(direction)
+            hi += p.rule.ceiling(direction)
+            lo = max([lo, *(cert.effective for cert in _plateau_certs(parts, p, direction))])
         elif isinstance(p, (RankOne, FiniteMatrix)):
             continue  # vanish in the limit
         else:
             hi += norm_bound(p)
-    for p in parts:
-        if isinstance(p, Band):
-            lo = max(lo, _best_plateau_lower(parts, p, direction))
     return NormInterval(lo, hi)
 
 

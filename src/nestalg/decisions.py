@@ -34,7 +34,6 @@ from .compactness import (
     compress_lower,
     compress_upper,
     default_window,
-    ess_norm_proxy,
     exact_col_lo,
     first_nonzero_column,
     join_of_compact_lower_corners,
@@ -219,7 +218,6 @@ def mult_compact_decision(task: MultiplicationTask) -> MultVerdict:
         )
     if av.status == "Compact" and bv.status == "Compact":
         return MultVerdict("compact", "Compact", "both side compressions are compact", detail)
-    detail["proxy"] = ess_norm_proxy(task.nest, task.a if av.status == "Unknown" else task.b)
     return MultVerdict("compact", "Unknown", "a side compression resisted classification", detail)
 
 

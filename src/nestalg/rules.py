@@ -5,32 +5,46 @@ from a small closed grammar of sequence rules.  Every rule can evaluate
 itself at any integer index and also answers a fixed set of structural
 questions used by the decision procedures:
 
-  support        interval bounding the nonzero indices, with an exactness flag
-  sup_abs        certified upper bound on sup |r(i)|
-  limit          the limit toward +inf or -inf when one is certified
-  tail_sup       certified upper bound on limsup |r(i)| in a direction
-  infinite_plateau  three-valued: is |r(i)| >= t on infinitely many i
-                    in a direction (True/False only when certified)
-  sq_tail        certified upper bound on the sum of r(i)^2 from an index
-                 onward (may be +inf)
-  periodic_profile  eventual periodicity witness making plateau scans exact
+  support   interval bounding the nonzero indices, with an exactness flag
+  sup_abs   certified upper bound on sup |r(i)|
+  tail      the asymptotic form toward +inf or -inf: r(i) = P[i mod L] + V(i)
+            with an exact periodic part P (Fractions) and a certified,
+            nonincreasing envelope env(n) >= |V(i)| beyond n that tends
+            to 0 (see Tail); so the tail vanishes exactly when P = 0,
+            limsup |r(i)| = max|P|
+  plateau   certified lower and upper bounds on limsup |value(i)| toward
+  ceiling   an end, from max|P| and an allowance for the rounding of
+            value(); a positive plateau certifies an infinite support end
+            and underlies every noncompactness certificate, and a zero
+            ceiling certifies that the values vanish there
+  sq_tail   certified upper bound on the sum of r(i)^2 from an index
+            onward (may be +inf)
+
+Atoms give their own tails and combinators compose them, so each
+question about the asymptotics of a rule has one answer in one place.
+P and env describe the exact sequence the rule's parameters define;
+value() is its floating-point evaluation, which can cancel to 0.0 where
+the exact sequence does not, or leave a residue where it cancels; the
+verdicts read plateau() and ceiling(), which allow for both.
 
 All bounds are one-sided promises, never estimates: looseness only ever
 weakens a derived norm envelope, it cannot flip a verdict.
 
 Rules, like the operator expressions built on them, are interned nodes
 (see Node): equal trees are one object, equality is identity, and each
-rule computes its support once.
+rule computes its support and its tails once.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import operator
 import struct
 import weakref
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -134,6 +148,64 @@ class Node:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
+ZERO, ONE = Fraction(0), Fraction(1)
+ROUNDING_SLACK = 2.0 ** -40  # per unit of sup_abs: bounds |value(i) - r(i)|
+ZERO_P, ONE_P = (ZERO,), (ONE,)  # the periodic parts of period 1
+
+
+def _up(x: float) -> float:
+    """x enlarged past the rounding of the few float operations that made it."""
+    return x * (1.0 + 2.0 ** -48) + 2.0 ** -1000
+
+
+def _no_env(n: int) -> float:
+    return 0.0
+
+
+def _step(start: float, bound: float) -> Callable[[int], float]:
+    """The envelope of a tail that equals its periodic part from start on
+    and stays within bound of it before."""
+    return lambda n: 0.0 if n >= start else bound
+
+
+class Tail:
+    """A rule toward one end: r(i) = P[i mod len(P)] + V(i).
+
+    P is exact (a tuple of Fractions) and |V(i)| <= env(n) whenever
+    direction * i >= n; env is nonincreasing and tends to 0.  Every
+    residue recurs, so limsup |r(i)| = max|P| toward that end, and the
+    tail vanishes exactly when P = 0.
+    """
+
+    __slots__ = ("P", "env", "vanishes", "floats", "_peaks")
+
+    def __init__(self, P: tuple, env: Callable[[int], float]):
+        self.P, self.env, self.vanishes = P, env, not any(P)
+        self.floats = None  # set once by SeqRule._float_parts
+        self._peaks = (0.0, 0.0) if self.vanishes else None
+
+    def peak(self, up: bool = True) -> float:
+        """max|P| as a float, rounded up (or down when up is False)."""
+        if self._peaks is None:
+            top = max(map(abs, self.P))
+            f = float(top)
+            num, den = f.as_integer_ratio()
+            excess = num * top.denominator - top.numerator * den  # the sign of f - max|P|
+            down = math.nextafter(f, -math.inf) if excess > 0 else f
+            self._peaks = (down, math.nextafter(f, math.inf) if excess < 0 else f)
+        return self._peaks[up]
+
+
+def _combine(a: Tail, b: Tail, op) -> tuple | None:
+    """op of the periodic parts over the lcm period; None past SCAN_BUDGET.
+    Callers skip it when a part is zero, since zero has every period."""
+    la, lb = len(a.P), len(b.P)
+    period = math.lcm(la, lb)
+    if period > SCAN_BUDGET:
+        return None
+    return tuple(op(a.P[k % la], b.P[k % lb]) for k in range(period))
+
+
 class SeqRule(Node):
     """Base class of the rule nodes."""
 
@@ -147,10 +219,58 @@ class SeqRule(Node):
     def sup_abs(self) -> float:
         raise NotImplementedError
 
-    def limit(self, direction: int):
-        raise NotImplementedError
+    def tail(self, direction: int) -> Tail | None:
+        """The asymptotic form toward +inf (direction > 0) or -inf; None when
+        its period would exceed SCAN_BUDGET."""
+        return self._tail_up if direction > 0 else self._tail_down
 
-    def tail_sup(self, direction: int) -> float:
+    def plateau(self, direction: int) -> float:
+        """A lower bound on limsup |value(i)| toward that end, 0.0 when none
+        is certified: max|P| rounded down, less the rounding allowance.
+        Beyond n, |value(i)| reaches plateau - env(n) at infinitely many i."""
+        t = self.tail(direction)
+        if t is None or t.vanishes:
+            return 0.0
+        return max(math.nextafter(t.peak(up=False) - self._slack(), -math.inf), 0.0)
+
+    def ceiling(self, direction: int) -> float:
+        """An upper bound on limsup |value(i)| toward that end: max|P|
+        rounded up, plus the rounding allowance unless every node's part
+        there is a float (value() then tends to P, since each float
+        operation tends to its exact result wherever that result is a
+        float).  So the float values vanish toward that end when the
+        ceiling is 0."""
+        t = self.tail(direction)
+        if t is None:
+            return self.sup_abs()
+        return t.peak() if self._float_parts(direction) else _up(t.peak() + self._slack())
+
+    def _slack(self) -> float:
+        return ROUNDING_SLACK * (1.0 + self.sup_abs())
+
+    def _float_parts(self, d: int) -> bool:
+        """value() tends to P toward that end: every node's part there is a float."""
+        t = self.tail(d)
+        if t is None:
+            return False
+        if t.floats is None:
+            t.floats = self._floats_toward(d, t)
+        return t.floats
+
+    def _floats_toward(self, d: int, t: Tail) -> bool:
+        return (t.vanishes or all(x == float(x) for x in t.P)) and all(
+            v._float_parts(d) for v in map(self.__dict__.get, self._fields) if isinstance(v, SeqRule)
+        )
+
+    @cached_property
+    def _tail_up(self) -> Tail | None:
+        return self._tail(+1)
+
+    @cached_property
+    def _tail_down(self) -> Tail | None:
+        return self._tail(-1)
+
+    def _tail(self, d: int) -> Tail | None:
         raise NotImplementedError
 
     def sq_tail(self, n: int, direction: int) -> float:
@@ -166,33 +286,11 @@ class SeqRule(Node):
         """'nonneg' / 'nonpos' when all values share a sign, else None."""
         return None
 
-    def periodic_profile(self, direction: int):
-        return None
-
-    def infinite_plateau(self, threshold: float, direction: int):
-        """True/False when certified, None when this rule cannot tell."""
-        if threshold <= 0:
-            raise ValueError("plateau threshold must be positive")
-        if self.tail_sup(direction) < threshold:
-            return False
-        profile = self.periodic_profile(direction)
-        if profile is not None:
-            return _scan_period(self, threshold, direction, profile)
-        return None
-
     def sq_total(self) -> float:
         return self.sq_tail(0, -1) + self.sq_tail(1, +1)
 
     def values_on(self, lo: int, hi: int) -> list:
         return [self.value(i) for i in range(lo, hi + 1)]
-
-
-def _scan_period(rule: SeqRule, threshold: float, direction: int, profile) -> bool:
-    period, start = profile
-    for k in range(period):
-        if abs(rule.value(start + direction * k)) >= threshold:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +311,8 @@ class ConstRule(SeqRule):
     def sup_abs(self) -> float:
         return abs(self.c)
 
-    def limit(self, direction: int):
-        return self.c
-
-    def tail_sup(self, direction: int) -> float:
-        return abs(self.c)
+    def _tail(self, d: int) -> Tail:
+        return Tail((Fraction(self.c),), _no_env)
 
     def sq_tail(self, n: int, direction: int) -> float:
         return 0.0 if self.c == 0.0 else POS_INF
@@ -230,9 +325,6 @@ class ConstRule(SeqRule):
 
     def sign_class(self):
         return "nonneg" if self.c >= 0.0 else "nonpos"
-
-    def periodic_profile(self, direction: int):
-        return (1, 0)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -252,13 +344,11 @@ class IndicatorRule(SeqRule):
     def sup_abs(self) -> float:
         return 1.0
 
-    def limit(self, direction: int):
-        if direction > 0:
-            return 1.0 if self.hi == POS_INF else 0.0
-        return 1.0 if self.lo == NEG_INF else 0.0
-
-    def tail_sup(self, direction: int) -> float:
-        return self.limit(direction)
+    def _tail(self, d: int) -> Tail:
+        end, other = (self.hi, self.lo) if d > 0 else (self.lo, self.hi)
+        if math.isinf(end):  # 1 from the other end on
+            return Tail(ONE_P, _step(d * other, 1.0))
+        return Tail(ZERO_P, _step(d * end + 1, 1.0))
 
     def sq_tail(self, n: int, direction: int) -> float:
         if direction > 0:
@@ -277,15 +367,6 @@ class IndicatorRule(SeqRule):
     def sign_class(self):
         return "nonneg"
 
-    def periodic_profile(self, direction: int):
-        if direction > 0:
-            if self.hi == POS_INF:
-                return (1, int(self.lo) if math.isfinite(self.lo) else 0)
-            return (1, int(self.hi) + 1)
-        if self.lo == NEG_INF:
-            return (1, int(self.hi) if math.isfinite(self.hi) else 0)
-        return (1, int(self.lo) - 1)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class PowerDecayRule(SeqRule):
@@ -303,11 +384,9 @@ class PowerDecayRule(SeqRule):
     def sup_abs(self) -> float:
         return 1.0
 
-    def limit(self, direction: int):
-        return 0.0
-
-    def tail_sup(self, direction: int) -> float:
-        return 0.0
+    def _tail(self, d: int) -> Tail:
+        p = self.p
+        return Tail(ZERO_P, lambda n: 1.0 if n <= 1 else _up(float(n) ** -p))
 
     def _one_sided(self, m: int) -> float:
         # sum_{i >= m} i^(-2p) for m >= 1, by integral comparison
@@ -347,11 +426,9 @@ class GeomDecayRule(SeqRule):
     def sup_abs(self) -> float:
         return 1.0
 
-    def limit(self, direction: int):
-        return 0.0
-
-    def tail_sup(self, direction: int) -> float:
-        return 0.0
+    def _tail(self, d: int) -> Tail:
+        r = abs(self.r)
+        return Tail(ZERO_P, lambda n: 1.0 if n <= 0 else _up(r ** n))
 
     def sq_tail(self, n: int, direction: int) -> float:
         n = n if direction > 0 else -n
@@ -393,11 +470,9 @@ class FiniteRule(SeqRule):
     def sup_abs(self) -> float:
         return max((abs(v) for _, v in self.entries), default=0.0)
 
-    def limit(self, direction: int):
-        return 0.0
-
-    def tail_sup(self, direction: int) -> float:
-        return 0.0
+    def _tail(self, d: int) -> Tail:
+        last = self.support.hi if d > 0 else -self.support.lo  # -inf when empty
+        return Tail(ZERO_P, _step(last + 1, self.sup_abs()))
 
     def sq_tail(self, n: int, direction: int) -> float:
         return sum(v * v for j, v in self.entries if _side_contains(n, direction, j))
@@ -411,14 +486,6 @@ class FiniteRule(SeqRule):
         if all(v <= 0.0 for _, v in self.entries):
             return "nonpos"
         return None
-
-    def periodic_profile(self, direction: int):
-        sup = self.support
-        if sup.is_empty:
-            return (1, 0)
-        if direction > 0:
-            return (1, int(sup.hi) + 1)
-        return (1, int(sup.lo) - 1)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -438,11 +505,8 @@ class CombRule(SeqRule):
     def sup_abs(self) -> float:
         return 1.0
 
-    def limit(self, direction: int):
-        return None
-
-    def tail_sup(self, direction: int) -> float:
-        return 1.0
+    def _tail(self, d: int) -> Tail:
+        return Tail(tuple(ONE if k == self.residue else ZERO for k in range(self.modulus)), _no_env)
 
     def sq_tail(self, n: int, direction: int) -> float:
         return POS_INF
@@ -452,9 +516,6 @@ class CombRule(SeqRule):
 
     def sign_class(self):
         return "nonneg"
-
-    def periodic_profile(self, direction: int):
-        return (self.modulus, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +537,12 @@ class ScaledRule(SeqRule):
     def sup_abs(self) -> float:
         return abs(self.factor) * self.base.sup_abs()
 
-    def limit(self, direction: int):
-        lim = self.base.limit(direction)
-        return None if lim is None else self.factor * lim
-
-    def tail_sup(self, direction: int) -> float:
-        return abs(self.factor) * self.base.tail_sup(direction)
+    def _tail(self, d: int) -> Tail | None:
+        t, f = self.base.tail(d), self.factor
+        if t is None:
+            return None
+        P = t.P if t.vanishes else tuple(p * Fraction(f) if p else p for p in t.P)
+        return Tail(P, lambda n: _up(abs(f) * t.env(n)))
 
     def sq_tail(self, n: int, direction: int) -> float:
         return self.factor * self.factor * self.base.sq_tail(n, direction)
@@ -499,12 +560,6 @@ class ScaledRule(SeqRule):
         if self.factor > 0.0:
             return base
         return "nonpos" if base == "nonneg" else "nonneg"
-
-    def periodic_profile(self, direction: int):
-        return self.base.periodic_profile(direction)
-
-    def infinite_plateau(self, threshold: float, direction: int):
-        return self.base.infinite_plateau(threshold / abs(self.factor), direction)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -527,11 +582,12 @@ class ShiftedRule(SeqRule):
     def sup_abs(self) -> float:
         return self.base.sup_abs()
 
-    def limit(self, direction: int):
-        return self.base.limit(direction)
-
-    def tail_sup(self, direction: int) -> float:
-        return self.base.tail_sup(direction)
+    def _tail(self, d: int) -> Tail | None:
+        t, s = self.base.tail(d), self.offset
+        if t is None:
+            return None
+        L = len(t.P)
+        return Tail(tuple(t.P[(k - s) % L] for k in range(L)), lambda n: t.env(n - d * s))
 
     def sq_tail(self, n: int, direction: int) -> float:
         return self.base.sq_tail(n - self.offset, direction)
@@ -544,16 +600,6 @@ class ShiftedRule(SeqRule):
 
     def sign_class(self):
         return self.base.sign_class()
-
-    def periodic_profile(self, direction: int):
-        profile = self.base.periodic_profile(direction)
-        if profile is None:
-            return None
-        period, start = profile
-        return (period, start + self.offset)
-
-    def infinite_plateau(self, threshold: float, direction: int):
-        return self.base.infinite_plateau(threshold, direction)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -584,18 +630,19 @@ class MaskedRule(SeqRule):
     def sup_abs(self) -> float:
         return self.base.sup_abs()
 
-    def _side_infinite(self, direction: int) -> bool:
-        return self.hi == POS_INF if direction > 0 else self.lo == NEG_INF
+    def _tail(self, d: int) -> Tail | None:
+        end, other = (self.hi, self.lo) if d > 0 else (self.lo, self.hi)
+        if math.isfinite(end):
+            return Tail(ZERO_P, _step(d * end + 1, self.base.sup_abs()))
+        t = self.base.tail(d)
+        if t is None:
+            return None
+        start, bound = d * other, self.base.sup_abs()  # the base from the other end on, 0 before
+        return Tail(t.P, lambda n: t.env(n) if n >= start else max(t.env(n), bound))
 
-    def limit(self, direction: int):
-        if not self._side_infinite(direction):
-            return 0.0
-        return self.base.limit(direction)
-
-    def tail_sup(self, direction: int) -> float:
-        if not self._side_infinite(direction):
-            return 0.0
-        return self.base.tail_sup(direction)
+    def _floats_toward(self, d: int, t: Tail) -> bool:
+        # value() is 0.0 past a finite end
+        return math.isfinite(self.hi if d > 0 else self.lo) or self.base._float_parts(d)
 
     def sq_tail(self, n: int, direction: int) -> float:
         if direction > 0:
@@ -617,24 +664,6 @@ class MaskedRule(SeqRule):
     def sign_class(self):
         # masking only zeroes values outside the window
         return self.base.sign_class()
-
-    def periodic_profile(self, direction: int):
-        if not self._side_infinite(direction):
-            if direction > 0:
-                return (1, int(self.hi) + 1)
-            return (1, int(self.lo) - 1)
-        profile = self.base.periodic_profile(direction)
-        if profile is None:
-            return None
-        period, start = profile
-        if direction > 0:
-            return (period, max(start, int(self.lo)) if math.isfinite(self.lo) else start)
-        return (period, min(start, int(self.hi)) if math.isfinite(self.hi) else start)
-
-    def infinite_plateau(self, threshold: float, direction: int):
-        if not self._side_infinite(direction):
-            return False
-        return SeqRule.infinite_plateau(self, threshold, direction) if self.periodic_profile(direction) is not None else self.base.infinite_plateau(threshold, direction)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -667,17 +696,20 @@ class ProductRule(SeqRule):
     def sup_abs(self) -> float:
         return self.left.sup_abs() * self.right.sup_abs()
 
-    def limit(self, direction: int):
-        ll, rl = self.left.limit(direction), self.right.limit(direction)
-        if ll is not None and rl is not None:
-            return ll * rl
-        if ll == 0.0 or rl == 0.0:
-            return 0.0
-        return None
+    def _tail(self, d: int) -> Tail | None:
+        a, b = self.left.tail(d), self.right.tail(d)
+        if a is None or b is None:
+            return None
+        P = ZERO_P if a.vanishes or b.vanishes else _combine(a, b, operator.mul)
+        if P is None:
+            return None
+        ma, mb = a.peak(), b.peak()
+        # ab - PaPb = Pa Vb + Pb Va + Va Vb
+        return Tail(P, lambda n: _up(ma * b.env(n) + mb * a.env(n) + a.env(n) * b.env(n)))
 
-    def tail_sup(self, direction: int) -> float:
-        # limsup |fg| <= limsup |f| * limsup |g| for bounded sequences
-        return self.left.tail_sup(direction) * self.right.tail_sup(direction)
+    def _floats_toward(self, d: int, t: Tail) -> bool:
+        # a factor whose values vanish takes the bounded other factor with it
+        return self.left.ceiling(d) == 0.0 or self.right.ceiling(d) == 0.0 or super()._floats_toward(d, t)
 
     def sq_tail(self, n: int, direction: int) -> float:
         a = self.left.sup_abs() ** 2 * self.right.sq_tail(n, direction)
@@ -697,9 +729,6 @@ class ProductRule(SeqRule):
         if ls is None or rs is None:
             return None
         return "nonneg" if ls == rs else "nonpos"
-
-    def periodic_profile(self, direction: int):
-        return _combine_profiles(self.left, self.right, direction)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -722,14 +751,13 @@ class SumRule(SeqRule):
         if ls.exact and rs.exact:
             # an infinite end is certified when cancellation is impossible
             # there: only one side reaches it, both sides share a sign, or
-            # the sum has a nonzero limit in that direction
+            # the sum keeps a plateau toward that end
             same_sign = self.sign_class() is not None
 
             def _inf_ok(direction: int, l_end: float, r_end: float, end: float) -> bool:
                 if same_sign or (l_end == end) != (r_end == end):
                     return True
-                lim = self.limit(direction)
-                return lim is not None and lim != 0.0
+                return self.plateau(direction) > 0.0
 
             lo_ok = (math.isfinite(lo) and self.value(int(lo)) != 0.0) or (
                 lo == NEG_INF and _inf_ok(-1, ls.lo, rs.lo, NEG_INF)
@@ -743,14 +771,14 @@ class SumRule(SeqRule):
     def sup_abs(self) -> float:
         return self.left.sup_abs() + self.right.sup_abs()
 
-    def limit(self, direction: int):
-        ll, rl = self.left.limit(direction), self.right.limit(direction)
-        if ll is None or rl is None:
+    def _tail(self, d: int) -> Tail | None:
+        a, b = self.left.tail(d), self.right.tail(d)
+        if a is None or b is None:
             return None
-        return ll + rl
-
-    def tail_sup(self, direction: int) -> float:
-        return self.left.tail_sup(direction) + self.right.tail_sup(direction)
+        P = b.P if a.vanishes else a.P if b.vanishes else _combine(a, b, operator.add)
+        if P is None:
+            return None
+        return Tail(P, lambda n: _up(a.env(n) + b.env(n)))
 
     def sq_tail(self, n: int, direction: int) -> float:
         a, b = self.left.sq_tail(n, direction), self.right.sq_tail(n, direction)
@@ -771,31 +799,6 @@ class SumRule(SeqRule):
         if ls is not None and ls == rs:
             return ls
         return None
-
-    def periodic_profile(self, direction: int):
-        return _combine_profiles(self.left, self.right, direction)
-
-    def infinite_plateau(self, threshold: float, direction: int):
-        base = SeqRule.infinite_plateau(self, threshold, direction)
-        if base is not None:
-            return base
-        # dominance: one side plateaus strictly above threshold + other's limsup
-        for big, small in ((self.left, self.right), (self.right, self.left)):
-            gap = big.tail_sup(direction) - threshold - small.tail_sup(direction)
-            if gap > 0:
-                got = big.infinite_plateau(threshold + small.tail_sup(direction) + gap / 2, direction)
-                if got:
-                    return True
-        return None
-
-
-def _combine_profiles(left: SeqRule, right: SeqRule, direction: int):
-    lp, rp = left.periodic_profile(direction), right.periodic_profile(direction)
-    if lp is None or rp is None:
-        return None
-    period = math.lcm(lp[0], rp[0])
-    start = max(lp[1], rp[1]) if direction > 0 else min(lp[1], rp[1])
-    return (period, start)
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +986,7 @@ def nonzero_indices(rule: SeqRule, start: float, count: int = 1, stop: float = P
     return out
 
 
-def exact_support(rule: SeqRule, scan_budget: int = 64) -> Support:
+def exact_support(rule: SeqRule) -> Support:
     """Support with certified-attained endpoints; raises when uncertifiable.
 
     A shifted rule is certified through its base, which a failure names:
@@ -991,12 +994,12 @@ def exact_support(rule: SeqRule, scan_budget: int = 64) -> Support:
     name of the rule as written.
     """
     if isinstance(rule, ShiftedRule):
-        sup = _certified_support(rule.base, scan_budget)
+        sup = _certified_support(rule.base)
         return sup if sup.is_empty else Support(sup.lo + rule.offset, sup.hi + rule.offset, True)
-    return _certified_support(rule, scan_budget)
+    return _certified_support(rule)
 
 
-def _certified_support(rule: SeqRule, scan_budget: int) -> Support:
+def _certified_support(rule: SeqRule) -> Support:
     sup = rule.support
     if sup.is_empty or sup.exact:
         return sup
@@ -1004,7 +1007,7 @@ def _certified_support(rule: SeqRule, scan_budget: int) -> Support:
 
     def tighten(start: float, direction: int):
         if math.isfinite(start):
-            for k in range(scan_budget + 1):
+            for k in range(SCAN_BUDGET):
                 i = int(start) + direction * k
                 if (i > hi if direction > 0 else i < lo):
                     return None  # ran past the other end: empty
@@ -1012,8 +1015,7 @@ def _certified_support(rule: SeqRule, scan_budget: int) -> Support:
                     return float(i)
             raise UnknownSupport(f"could not certify a support endpoint of {rule!r}")
         # the infinite end lies against the inward scan direction
-        ts = rule.tail_sup(-direction)
-        if ts > 0 and rule.infinite_plateau(ts / 2.0, -direction):
+        if rule.plateau(-direction) > 0.0:
             return start
         raise UnknownSupport(f"could not certify the infinite support end of {rule!r}")
 

@@ -37,10 +37,12 @@ from nestalg.operators import (
     wshift,
 )
 from nestalg.rules import (
+    rule_comb,
     rule_const,
     rule_geometric,
     rule_harmonic,
     rule_indicator,
+    rule_mask,
     rule_scale,
     rule_sum,
 )
@@ -75,13 +77,74 @@ def test_noncompact_specimens(T):
     assert v.certificate is not None
 
 
+def test_small_exact_plateau_is_noncompact():
+    # 1 - 0.999 on the odd indices: the plateau is exact, however small
+    v = classify_compact(diag(rule_sum(rule_scale(rule_comb(2, 1), -0.999), rule_comb(2, 1))))
+    assert v.status == "NonCompact"
+    assert v.certificate.threshold == pytest.approx(0.001)
+
+
+def test_plateau_under_a_sum_with_a_vanishing_part_is_noncompact():
+    comb = rule_comb(3, 0)
+    v = classify_compact(diag(rule_sum(comb, rule_sum(comb, rule_harmonic()))))
+    assert v.status == "NonCompact"
+    assert v.certificate.threshold > 1.9  # 2 on the multiples of 3, less 1/n
+
+
+def test_masked_sum_of_two_plateaus_is_noncompact_toward_the_open_end():
+    h = rule_harmonic()
+    r = rule_mask(rule_sum(rule_sum(rule_comb(2, 1), h), rule_sum(rule_comb(4, 2), h)), 1, None)
+    v = classify_compact(diag(r))
+    assert v.status == "NonCompact" and v.certificate.direction == +1
+
+
+def test_band_with_a_zero_periodic_part_is_compact():
+    # comb(2, 0) + comb(2, 1) - 1 is 0 at every index
+    r = rule_sum(rule_sum(rule_comb(2, 0), rule_comb(2, 1)), rule_const(-1.0))
+    assert classify_compact(diag(r)).status == "Compact"
+
+
+def _even(*factors):
+    """The sum, in order, of comb(2, 0) scaled by each factor."""
+    r = rule_scale(rule_comb(2, 0), factors[0])
+    for f in factors[1:]:
+        r = rule_sum(r, rule_scale(rule_comb(2, 0), f))
+    return r
+
+
+def test_cancellation_below_the_rounding_is_unknown():
+    # the exact periodic part is (-2^-55, 0), but every float entry is 0.0
+    r = _even(0.1, 0.2, -0.30000000000000004)
+    assert not r.tail(+1).vanishes and r.values_on(-4, 4) == [0.0] * 9
+    v = classify_compact(diag(r))
+    assert v.status == "Unknown" and "rounding" in v.reason
+    assert limit_restricted_norm(diag(r), +1).lo == 0.0
+
+
+def test_rounding_residue_of_a_zero_periodic_part_is_unknown():
+    # the exact periodic part is 0, but the float entries keep -2^-60 on the even indices
+    r = _even(1.0, 2.0**-60, -1.0, -(2.0**-60))
+    assert r.tail(+1).vanishes and r.value(0) == -(2.0**-60)
+    assert classify_compact(diag(r)).status == "Unknown"
+    assert limit_restricted_norm(diag(r), -1).hi >= 2.0**-60
+
+
+def test_period_beyond_the_scan_budget_is_unknown():
+    # lcm(23, 29) = 667 residues would exceed rules.SCAN_BUDGET
+    r = rule_sum(rule_comb(23, 0), rule_comb(29, 0))
+    assert r.tail(+1) is None
+    v = classify_compact(diag(r))
+    assert v.status == "Unknown" and "scan budget" in v.reason
+
+
 def test_plateau_certificate_survives_svd_check():
     # a certified plateau means singular values cannot decay: check the
-    # claimed threshold against dense truncations of growing size
+    # claimed threshold against dense truncations of growing size; the
+    # band keeps its whole level 0.75 from index 10 on
     plateau = diag(rule_scale(rule_indicator(10, None), 0.75))
     v = classify_compact(plateau)
     cert = v.certificate
-    assert cert.threshold == pytest.approx(0.375)
+    assert cert.threshold == pytest.approx(0.75)
     for hw in (64, 128, 256):
         M = render(plateau, -hw, hw)
         sv = np.linalg.svd(M, compute_uv=False)
@@ -109,6 +172,13 @@ def test_limit_restricted_norm_identity():
 def test_limit_restricted_norm_vanishing():
     ni = limit_restricted_norm(diag(rule_harmonic()), +1)
     assert ni.hi <= 1e-9
+
+
+def test_limit_restricted_norm_reaches_the_plateau_past_a_vanishing_part():
+    # comb(2, 0) + 1/|i| keeps limsup 1; the lower bound is read at
+    # INTERFERENCE_CAP, where the envelope 1/n is smallest
+    ni = limit_restricted_norm(diag(rule_sum(rule_comb(2, 0), rule_harmonic())), +1)
+    assert 1.0 - 1e-4 < ni.lo <= 1.0 == ni.hi
 
 
 def test_exact_boundaries():

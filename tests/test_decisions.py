@@ -32,7 +32,7 @@ from nestalg.operators import (
     rank_one,
     render,
 )
-from nestalg.rules import rule_finite, rule_geometric, rule_indicator
+from nestalg.rules import rule_comb, rule_finite, rule_geometric, rule_indicator, rule_scale, rule_sum
 from nestalg.scenarios import SWEEP_NESTS, brute_force_zero, random_member_pair
 
 
@@ -268,3 +268,17 @@ def test_zero_verdict_implies_brute_force_zero(basis, data):
         assume(False)
     if mult_zero_test(task).status == "Zero":
         assert brute_force_zero(task, res=0.0)
+
+
+@pytest.mark.parametrize("basis", ["Z", "N"])
+def test_cancellation_below_the_rounding_decides_nothing(basis):
+    # 0.1 + 0.2 - 0.30000000000000004 on the even indices: exactly -2^-55,
+    # but 0.0 in floats, so the operator the oracle renders is zero
+    even = rule_comb(2, 0)
+    r = rule_sum(
+        rule_sum(rule_scale(even, 0.1), rule_scale(even, 0.2)), rule_scale(even, -0.30000000000000004)
+    )
+    task = MultiplicationTask.build(make_nest({"basis": basis, "cuts": "all"}), diag(r), identity())
+    assert brute_force_zero(task)
+    for question, fn in QUESTION_FUNCS.items():
+        assert fn(task).status == "Unknown", question

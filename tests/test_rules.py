@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nestalg.errors import SchemaError
+from nestalg.errors import SchemaError, UnknownSupport
 from nestalg.rules import (
+    ROUNDING_SLACK,
     Support,
     exact_support,
     rule_comb,
@@ -36,8 +38,9 @@ def test_harmonic_values():
 
 def test_harmonic_vanishes_at_infinity():
     h = rule_harmonic()
-    assert h.limit(+1) == 0.0
-    assert h.tail_sup(+1) == 0.0
+    t = h.tail(+1)
+    assert t.P == (0,) and t.vanishes  # limit 0, limsup 0
+    assert t.env(1000) == pytest.approx(1e-3)
     assert h.is_square_summable()
 
 
@@ -45,7 +48,9 @@ def test_const_rule():
     c = rule_const(0.75)
     assert c.value(123) == 0.75
     assert c.sup_abs() == 0.75
-    assert c.tail_sup(-1) == 0.75
+    t = c.tail(-1)
+    assert t.P == (Fraction(0.75),) and t.env(-5) == 0.0
+    assert t.peak() == 0.75
     assert not c.is_square_summable()
 
 
@@ -80,7 +85,8 @@ def test_comb_is_periodic():
     c = rule_comb(3, 1)
     hits = [i for i in range(12) if c.value(i) == 1.0]
     assert hits == [1, 4, 7, 10]
-    assert c.periodic_profile(+1) is not None
+    t = c.tail(+1)
+    assert t.P == (0, 1, 0) and t.env(0) == 0.0  # exactly periodic
 
 
 def test_power_decay_is_zero_at_origin():
@@ -112,9 +118,11 @@ def test_sum_and_product_values():
 
 
 def test_infinite_plateau_probe():
-    assert rule_const(1.0).infinite_plateau(0.5, +1) is True
-    assert rule_harmonic().infinite_plateau(0.5, +1) is False
-    assert rule_comb(2, 0).infinite_plateau(0.5, +1) is True
+    # |r| >= 0.5 infinitely often toward +inf exactly when max|P| >= 0.5
+    for rule, plateau in ((rule_const(1.0), True), (rule_harmonic(), False), (rule_comb(2, 0), True)):
+        t = rule.tail(+1)
+        assert (t.peak() >= 0.5) is plateau
+        assert (not t.vanishes) is plateau
 
 
 def test_values_on_matches_value():
@@ -169,6 +177,48 @@ def test_exact_support_certifies_one_sided_plateau(rule, want):
     assert exact_support(rule) == want
 
 
+def test_exact_support_certifies_both_ends_from_the_periodic_part():
+    # toward -inf the periodic part is (-1.236 + 0.629, 0.629, 0.629), toward +inf (-1.236, 0, 0)
+    r = rule_sum(rule_scale(rule_comb(3, 0), -1.236), rule_scale(rule_indicator(None, -2), 0.629))
+    assert exact_support(r) == Support(-math.inf, math.inf, True)
+
+
+def test_plateau_and_ceiling_allow_for_the_rounding():
+    even = rule_comb(2, 0)
+    # exactly -2^-55 on the even indices, 0.0 in floats: no nonzero end is certified
+    below = rule_sum(
+        rule_sum(rule_scale(even, 0.1), rule_scale(even, 0.2)), rule_scale(even, -0.30000000000000004)
+    )
+    assert below.tail(+1).P == (Fraction(-1, 2**55), 0)
+    assert below.plateau(+1) == below.plateau(-1) == 0.0
+    assert not below.support.exact
+    with pytest.raises(UnknownSupport):
+        exact_support(below)
+    # exactly 0, but -2^-60 in floats: the values are not certified to vanish
+    residue = rule_sum(
+        rule_sum(rule_sum(even, rule_scale(even, 2.0**-60)), rule_scale(even, -1.0)), rule_scale(even, -(2.0**-60))
+    )
+    assert residue.tail(+1).vanishes and residue.ceiling(+1) > 0.0
+    # float parts throughout: the values are 0.0, and the ceiling says so
+    zero = rule_sum(rule_sum(even, rule_comb(2, 1)), rule_const(-1.0))
+    assert zero.ceiling(+1) == zero.ceiling(-1) == 0.0
+    # 0.1 + 0.2 is no float, but a mask past its end or a vanishing factor zeroes it
+    tenths = rule_sum(rule_scale(even, 0.1), rule_scale(even, 0.2))
+    assert tenths.ceiling(+1) > 0.3
+    assert rule_mask(tenths, None, 0).ceiling(+1) == 0.0
+    assert rule_product(rule_harmonic(), tenths).ceiling(+1) == 0.0
+    assert rule_sum(rule_scale(rule_comb(2, 1), -0.999), rule_comb(2, 1)).plateau(+1) == pytest.approx(0.001)
+
+
+def test_opposite_geometrics_stay_unknown():
+    # 0.5^|i| + (-0.5)^|i| has P = 0 toward both ends: only a parity
+    # argument would show it is nonzero at every even index
+    r = rule_sum(rule_geometric(0.5), rule_geometric(-0.5))
+    assert r.tail(+1).vanishes and r.tail(-1).vanishes
+    with pytest.raises(UnknownSupport):
+        exact_support(r)
+
+
 def test_unknown_kind_raises():
     with pytest.raises(SchemaError):
         rule_from_json({"kind": "mystery"})
@@ -216,3 +266,48 @@ def test_rule_sum_is_pointwise(t1, t2):
     s = rule_sum(a, b)
     for i in range(-15, 16):
         assert s.value(i) == a.value(i) + b.value(i)
+
+
+# sums, products, scales, shifts and one-sided masks of the atoms with a tail
+tail_atoms = st.one_of(
+    st.builds(rule_comb, st.integers(2, 4), st.integers(0, 3)),
+    st.builds(rule_power, st.sampled_from([0.5, 1.0, 2.0])),
+    st.builds(rule_geometric, st.sampled_from([0.3, 0.5, 0.8, -0.5, -0.8])),
+    st.builds(rule_const, st.floats(-1.5, 1.5, allow_nan=False)),
+    st.builds(rule_indicator, st.integers(-8, 8), st.none()),
+    st.builds(rule_indicator, st.none(), st.integers(-8, 8)),
+)
+tail_rules = st.recursive(
+    tail_atoms,
+    lambda inner: st.one_of(
+        st.builds(rule_sum, inner, inner),
+        st.builds(rule_product, inner, inner),
+        st.builds(rule_scale, inner, st.floats(-2, 2, allow_nan=False)),
+        st.builds(rule_shift, inner, st.integers(-7, 7)),
+        st.builds(rule_mask, inner, st.integers(-8, 8), st.none()),
+        st.builds(rule_mask, inner, st.none(), st.integers(-8, 8)),
+    ),
+    max_leaves=6,
+)
+
+
+@given(
+    tail_rules,
+    st.one_of(st.integers(-12, 12), st.integers(-5000, 300)),
+    st.lists(st.integers(200, 5000), min_size=1, max_size=8),
+)
+@example(rule_shift(rule_sum(rule_comb(3, 0), rule_harmonic()), 1), 0, [200])  # a rotated period
+@settings(max_examples=300, deadline=None)
+def test_tail_bounds_the_rule_far_out(rule, n, beyond):
+    # env(n) bounds |r(i) - P[i mod L]| at every i with direction * i >= n:
+    # at n itself and 200 to 5,000 beyond it (across the origin when n < 0);
+    # value() evaluates the exact sequence in floating point, within the
+    # rounding allowance that plateau() and ceiling() assume
+    allowance = ROUNDING_SLACK * (1.0 + rule.sup_abs())
+    for direction in (+1, -1):
+        t = rule.tail(direction)
+        assert all(isinstance(p, Fraction) for p in t.P)
+        assert t.env(n) >= t.env(n + 1000)
+        for k in (0, 1, *beyond):
+            i = direction * (n + k)
+            assert abs(Fraction(rule.value(i)) - t.P[i % len(t.P)]) <= t.env(n) + allowance
