@@ -27,6 +27,9 @@ Two boundary computations live here as well:
 * the compact boundaries: the join of cuts whose lower compression is
   compact and the meet of cuts whose upper compression is compact.
 
+A canonical node stores its compactness verdict and its column ends, so
+the questions of one decision share them.
+
 On all-integer nests the lower/upper compressions at different finite
 cuts differ by a finite-rank perturbation, so one probe cut decides all
 of them at once; on the natural-number basis every lower compression is
@@ -47,13 +50,13 @@ from .operators import (
     OperatorExpr,
     ProductOp,
     RankOne,
+    adjoint,
     canonicalize,
     compress,
     entry,
     flatten_sum,
     interval_proj,
     norm_bound,
-    op_adjoint,
     render,
 )
 from .rules import SCAN_BUDGET, exact_support
@@ -182,8 +185,16 @@ def _band_vanishes(p: Band) -> bool:
 
 
 def classify_compact(T: OperatorExpr) -> CompactVerdict:
-    """Three-valued compactness with a certificate on the NonCompact side."""
+    """Three-valued compactness with a certificate on the NonCompact side,
+    stored on the canonical node."""
     C = canonicalize(T)
+    v = C.__dict__.get("_compact")
+    if v is None:
+        v = C.__dict__["_compact"] = _classify(C)
+    return v
+
+
+def _classify(C: OperatorExpr) -> CompactVerdict:
     parts = flatten_sum(C)
     if not parts:
         return CompactVerdict("Compact", reason="zero operator")
@@ -294,10 +305,26 @@ def first_nonzero_column(C: OperatorExpr, start: int, direction: int = +1):
 
 
 def _exact_col_end(C: OperatorExpr, direction: int) -> float:
-    """The first (direction +1) or last (-1) nonzero column of the canonical C.
+    """The first (direction +1) or last (-1) nonzero column of the canonical C,
+    stored on C per direction; an UndecidableBoundary is stored as its
+    message, since the exception's traceback would hold C.
 
     Only exact_row_hi scans downward, on the adjoint, so its messages say "row".
     """
+    ends = C.__dict__.setdefault("_col_ends", {})
+    end = ends.get(direction)
+    if end is None:
+        try:
+            end = _scan_col_end(C, direction)
+        except UndecidableBoundary as exc:
+            end = str(exc)
+        ends[direction] = end
+    if isinstance(end, str):
+        raise UndecidableBoundary(end)
+    return end
+
+
+def _scan_col_end(C: OperatorExpr, direction: int) -> float:
     what = "column" if direction > 0 else "row"
     parts = flatten_sum(C)
     if not parts:
@@ -330,7 +357,7 @@ def exact_col_lo(C: OperatorExpr) -> float:
 
 def exact_row_hi(C: OperatorExpr) -> float:
     """Largest nonzero row of the canonical expression; -inf when zero."""
-    return _exact_col_end(op_adjoint(canonicalize(C)), -1)
+    return _exact_col_end(adjoint(canonicalize(C)), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .numerics import NormInterval, power_norm
 from .operators import (
     OperatorExpr,
     ZeroOp,
+    adjoint,
     basis_vector,
     canonicalize,
     col_support,
@@ -54,7 +55,6 @@ from .operators import (
     identity,
     interval_proj,
     norm_bound,
-    op_adjoint,
     op_product,
     operator_to_json,
     rank_one,
@@ -110,7 +110,7 @@ def mult_zero_test(task: MultiplicationTask) -> MultVerdict:
     ca, cb = canonicalize(task.a), canonicalize(task.b)
     start = r.value + 1 if math.isfinite(r.value) else row_support(cb).lo
     try:
-        found = first_nonzero_column(op_adjoint(cb), int(start) if math.isfinite(start) else -SCAN_BUDGET // 2)
+        found = first_nonzero_column(adjoint(cb), int(start) if math.isfinite(start) else -SCAN_BUDGET // 2)
         if found is None:
             return MultVerdict("zero", "Unknown", "nonzero by boundaries but witness scan failed", detail)
         ib, jb, bval = found
@@ -124,14 +124,15 @@ def mult_zero_test(task: MultiplicationTask) -> MultVerdict:
     if ia_probe is None:
         return MultVerdict("zero", "Unknown", "column witness for a vanished unexpectedly", detail)
     ja, ia, aval = ia_probe
-    if rank_one_membership(task.nest, basis_vector(ib), basis_vector(int(ja))).status != "Member":
+    e, f = basis_vector(ib), basis_vector(int(ja))
+    if rank_one_membership(task.nest, e, f).status != "Member":
         return MultVerdict("zero", "Unknown", "witness pairing fell outside the algebra", detail)
     witness_norm = abs(aval) * abs(bval)
     detail.update(
         {
             "witness": {
                 "input": {"e_index": ib, "f_index": int(ja)},
-                "x": operator_to_json(rank_one(basis_vector(ib), basis_vector(int(ja)))),
+                "x": operator_to_json(rank_one(e, f)),
                 "image_entry": {"row": ia, "col": jb, "value": aval * bval},
                 "image_norm_lower": witness_norm,
             }
@@ -295,8 +296,16 @@ def mult_weak_decision(task: MultiplicationTask) -> MultVerdict:
     compact-upper cuts of b: U above L is always weakly compact; U below
     L never is; at equality the verdict depends on the side compressions
     at the common cut and, when exactly one of them is noncompact, on
-    whether the corresponding one-sided obstruction norm vanishes.
+    whether the corresponding one-sided obstruction norm vanishes.  The
+    verdict is stored on the task, which quotient_verdict asks as well.
     """
+    v = task.__dict__.get("_weak")
+    if v is None:
+        v = task.__dict__["_weak"] = _weak_decision(task)
+    return v
+
+
+def _weak_decision(task: MultiplicationTask) -> MultVerdict:
     if task.is_zero_pair():
         return MultVerdict("weak", "WeaklyCompact", "a symbol is zero, the map is zero")
     try:

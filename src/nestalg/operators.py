@@ -23,9 +23,13 @@ Nodes are interned (rules.Node): building a node whose fields match
 a live node returns that node, so equal trees are one object and
 equality is identity.  A node stores what it computes once: its sort
 key as a part of a sum, its canonical form (a fixpoint is marked, so a
-canonical subtree is never walked again), its compressions, and for a
-finite block a read-only array.  canonicalize has no cache besides:
-what a node stores goes when the node does.
+canonical subtree is never walked again), its support hulls and
+compressions, the adjoint that adjoint() builds, and for a finite block
+a read-only array; the compactness module stores a canonical node's
+compactness verdict and column ends on it as well.  A fact that is the
+node itself is marked, never stored on the node, so no stored fact
+makes a reference cycle.  canonicalize has no cache besides: what a
+node stores goes when the node does.
 
 The matrix convention: (e (x) f) maps h to <h, e> f, so the entry at
 (row i, column j) is e(j) * f(i); column support is the support of e.
@@ -90,6 +94,11 @@ class OperatorExpr(Node):
         if isinstance(self, FiniteMatrix):
             return (2, self.row_lo, repr(self.rows))
         return (3, 0, repr(self))
+
+    @cached_property
+    def _hulls(self) -> tuple:
+        """(row_support, col_support), the hulls that compress reads."""
+        return row_support(self), col_support(self)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -556,16 +565,49 @@ def canonicalize(T: OperatorExpr) -> OperatorExpr:
 def compress(T: OperatorExpr, lo, hi) -> OperatorExpr:
     """canonicalize(P T P) for P = interval_proj(lo, hi), stored on T per window.
 
-    The decisions ask for the same compressions of their operands from
-    question to question; the stored ones go when T does.
+    The compression is read off the support hulls of K = canonicalize(T)
+    where they settle it: it is K when the row and column hulls both lie
+    in the window lo < i <= hi, and zero when either hull misses the
+    window or the window holds no index.  Both are exact, P T P = T and
+    P T P = 0 as operators.  Every other window runs the product rewrite
+    canonicalize(P K P), which starts from the canonical K instead of
+    walking T again.  The decisions ask for the same compressions of
+    their operands from question to question; the stored ones go when T
+    does.
     """
     memo = T.__dict__.setdefault("_compressions", {})
     C = memo.get((lo, hi))
     if C is None:
-        p = interval_proj(lo, hi)
-        C = canonicalize(op_product(op_product(p, T), p))
+        C = _compress(T, interval_proj(lo, hi))
         memo[(lo, hi)] = _SELF if C is T else C
     return T if C is _SELF else C
+
+
+def _compress(T: OperatorExpr, p: OperatorExpr) -> OperatorExpr:
+    if isinstance(p, ZeroOp):
+        return ZERO
+    K = canonicalize(T)
+    w = p.rule.support  # the window's indices, exactly
+    rows, cols = K._hulls  # empty for a zero K, which then comes out ZERO either way
+    if rows.hi < w.lo or rows.lo > w.hi or cols.hi < w.lo or cols.lo > w.hi:
+        return ZERO
+    if w.lo <= rows.lo and rows.hi <= w.hi and w.lo <= cols.lo and cols.hi <= w.hi:
+        return K
+    return canonicalize(op_product(op_product(p, K), p))
+
+
+def adjoint(T: OperatorExpr) -> OperatorExpr:
+    """op_adjoint(T), stored on T; a self-adjoint T is marked, not stored on
+    itself, and T keeps no adjoint that already keeps T, so stored adjoints
+    make no reference cycle."""
+    A = T.__dict__.get("_adjoint")
+    if A is None:
+        A = op_adjoint(T)
+        if A is T:
+            T.__dict__["_adjoint"] = _SELF
+        elif A.__dict__.get("_adjoint") is not T:
+            T.__dict__["_adjoint"] = A
+    return T if A is _SELF else A
 
 
 def is_product_free(T: OperatorExpr) -> bool:

@@ -12,6 +12,7 @@ factor to a nonzero row of the right one.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,6 +293,31 @@ def _norm_lower_bound_row(tasks) -> dict:
                 {"blocks": blocks, "worst_gap": worst_gap, "violations": violations[:4]})
 
 
+def _decidability_row(tasks) -> dict:
+    """The decided fraction of each question on the tasks, and each question's
+    Unknown results counted by reason, the text before its first colon
+    (which leaves out the indices and cuts after it).  Informational: the
+    row passes whenever every question ran."""
+    decided, unknown, errors = Counter(), {q: Counter() for q in DEFAULT_QUESTIONS}, []
+    for task in tasks:
+        for q in DEFAULT_QUESTIONS:
+            try:
+                v = QUESTIONS[q](task)
+            except NestAlgError as exc:
+                errors.append({"nest": task.nest.to_json(), "question": q, "error": f"{type(exc).__name__}: {exc}"})
+                continue
+            if v.status == "Unknown":
+                unknown[q][v.reason.split(":")[0]] += 1
+            else:
+                decided[q] += 1
+    return _row("decidability", not errors, {
+        "tasks": len(tasks),
+        "decided_frac": {q: decided[q] / len(tasks) for q in DEFAULT_QUESTIONS},
+        "unknown_by_reason": {q: dict(c) for q, c in unknown.items() if c},
+        "errors": errors[:4],
+    })
+
+
 def verify_suite(seed: int = 0, tasks: int = 40, inject_fault: bool = False) -> dict:
     """End-to-end consistency suite; one row per named check.
 
@@ -394,6 +420,7 @@ def verify_suite(seed: int = 0, tasks: int = 40, inject_fault: bool = False) -> 
                      {"rank_one": r1.to_json()["hi"], "identity": [ri.lo, ri.hi]}))
 
     rows.append(_norm_lower_bound_row(seeded))
+    rows.append(_decidability_row(seeded))
 
     return {
         "seed": seed,

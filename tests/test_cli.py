@@ -5,7 +5,12 @@ import json
 
 import pytest
 
+from nestalg.algebra import MultiplicationTask
 from nestalg.cli import main
+from nestalg.nests import make_nest
+from nestalg.operators import RuledVector, op_sum, rank_one
+from nestalg.rules import rule_finite
+from nestalg.scenarios import _decidability_row
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -169,6 +174,34 @@ def test_verify_passes(tmp_path):
     with open(tmp_path / "ver.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert all(r["pass"] == "True" for r in rows)
+
+
+def test_verify_reports_decidability(tmp_path):
+    cfg = write_cfg(tmp_path, {"tasks": 9})
+    out = tmp_path / "ver.json"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    rows = {r["check"]: r for r in json.loads(out.read_text())["rows"]}
+    row = rows["decidability"]
+    assert row["pass"] is True
+    detail = row["detail"]
+    assert detail["tasks"] == 9 and detail["errors"] == []
+    assert set(detail["decided_frac"]) == {"zero", "compact", "weak", "weak2", "quasitriangular", "quotient"}
+    for q, frac in detail["decided_frac"].items():
+        unknown = sum(detail["unknown_by_reason"].get(q, {}).values())
+        assert round(frac * detail["tasks"]) + unknown == detail["tasks"]
+
+
+def test_decidability_row_counts_unknowns_by_reason():
+    def r1(col_table, row_table):
+        return rank_one(RuledVector(rule_finite(col_table)), RuledVector(rule_finite(row_table)))
+
+    # column 600 of a is e_600: its rank-ones cancel at row 1, and row 600
+    # lies beyond the scan budget, so the zero boundaries stay uncertified
+    a = op_sum(r1({600: 1.0}, {1: 1.0, 600: 1.0}), r1({600: 1.0}, {1: -1.0}), r1({700: 1.0}, {1: 1.0}))
+    task = MultiplicationTask.build(make_nest({"basis": "N", "cuts": "all"}), a, r1({650: 1.0}, {650: 1.0}))
+    detail = _decidability_row([task])["detail"]
+    assert detail["decided_frac"]["zero"] == 0.0 and detail["decided_frac"]["weak"] == 1.0
+    assert detail["unknown_by_reason"]["zero"] == {"boundary not certified": 1}
 
 
 def test_verify_fault_injection_exits_three(tmp_path):

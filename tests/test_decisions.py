@@ -1,5 +1,7 @@
 """Decision procedures for two-sided multiplication maps, checked on the catalog."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,8 +34,9 @@ from nestalg.operators import (
     rank_one,
     render,
 )
+from nestalg import rules as rule_module
 from nestalg.rules import rule_comb, rule_finite, rule_geometric, rule_indicator, rule_scale, rule_sum
-from nestalg.scenarios import SWEEP_NESTS, brute_force_zero, random_member_pair
+from nestalg.scenarios import DEFAULT_QUESTIONS, SWEEP_NESTS, brute_force_zero, random_member_pair
 
 
 def build_task(spec):
@@ -282,3 +285,98 @@ def test_cancellation_below_the_rounding_decides_nothing(basis):
     assert brute_force_zero(task)
     for question, fn in QUESTION_FUNCS.items():
         assert fn(task).status == "Unknown", question
+
+
+# ---------------------------------------------------------------------------
+# facts stored on nodes and tasks
+
+
+def _budget_pair():
+    """a's column scan stops at the scan budget: an UndecidableBoundary is stored on a."""
+    a = op_sum(_rank_one({600: 0.371}, {1: 0.371, 600: 0.371}), _rank_one({600: 0.371}, {1: -0.371}),
+               _rank_one({700: 0.371}, {1: 0.371}))
+    return a, _rank_one({650: 0.371}, {650: 0.371})
+
+
+def _diagonal_pair():
+    """b is a diagonal, its own adjoint, which exact_row_hi stores on b."""
+    a = op_sum(diag(rule_geometric(0.3141)), finite_matrix(2, 2, [[0.617, 0.25], [0.0, -0.617]]))
+    return a, diag(rule_geometric(0.2718))
+
+
+def _mixed_pair():
+    """A diagonal, a rank-one and a block against a lowering shift plus a diagonal."""
+    a = op_sum(diag(rule_geometric(0.3141)), rank_one(basis_vector(9), basis_vector(4)),
+               finite_matrix(2, 2, [[0.617, 0.25], [0.0, -0.617]]))
+    b = op_sum(band(rule_scale(rule_comb(3, 1), 0.4142), -1), diag(rule_indicator(3, 11)))
+    return a, b
+
+
+@pytest.mark.parametrize("make_pair", [_budget_pair, _diagonal_pair, _mixed_pair], ids=["budget", "diagonal", "mixed"])
+@pytest.mark.parametrize("basis", ["N", "Z"])
+def test_stored_facts_make_no_reference_cycles(make_pair, basis):
+    # with the cycle collector off, every node of a dropped task must go by
+    # reference counting alone: a stored fact that refers back to its node
+    # (a self-adjoint stored on itself, an exception whose traceback holds
+    # the frame) would keep the task's nodes interned
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(rule_module._INTERNED)
+        task = MultiplicationTask.build(make_nest({"basis": basis, "cuts": "all"}), *make_pair())
+        assert len(rule_module._INTERNED) > before
+        for question in DEFAULT_QUESTIONS:
+            QUESTION_FUNCS[question](task)
+        del task
+        assert len(rule_module._INTERNED) == before
+    finally:
+        gc.enable()
+
+
+def _fresh_verdicts(make_pair, nest_spec, questions):
+    """The to_json() of each question, asked in order on a task built from
+    freshly made operands: the last task's nodes, and the facts stored on
+    them, are gone first."""
+    gc.collect()
+    task = MultiplicationTask.build(make_nest(nest_spec), *make_pair())
+    return {q: QUESTION_FUNCS[q](task).to_json() for q in questions}
+
+
+def _order_cases():
+    for spec in TASK_SPECIMENS:
+        yield pytest.param(
+            spec.nest, lambda spec=spec: (parse_operator(spec.a), parse_operator(spec.b)), id=spec.name
+        )
+    for spec in SWEEP_NESTS:
+        for seed in range(4):
+            yield pytest.param(
+                spec,
+                lambda spec=spec, seed=seed: random_member_pair(make_nest(spec), np.random.default_rng(seed)),
+                id=f"{spec['basis']}-{spec['cuts']}-seed{seed}",
+            )
+
+
+@pytest.mark.parametrize("nest_spec, make_pair", list(_order_cases()))
+def test_question_order_does_not_change_verdicts(nest_spec, make_pair):
+    forward = _fresh_verdicts(make_pair, nest_spec, DEFAULT_QUESTIONS)
+    backward = _fresh_verdicts(make_pair, nest_spec, DEFAULT_QUESTIONS[::-1])
+    assert forward == backward
+    alone = _fresh_verdicts(make_pair, nest_spec, ("quotient",))
+    after_weak = _fresh_verdicts(make_pair, nest_spec, ("weak", "quotient"))
+    assert alone["quotient"] == after_weak["quotient"] == forward["quotient"]
+
+
+def test_weak_verdict_is_asked_once_per_task(monkeypatch):
+    from nestalg import decisions
+
+    calls = []
+
+    def counted(task):
+        calls.append(task)
+        return decisions.MultVerdict("weak", "Unknown")
+
+    monkeypatch.setattr(decisions, "_weak_decision", counted)
+    task = build_task(find_task("flagship-harmonic"))
+    assert quotient_verdict(task).status == "Unknown"
+    assert mult_weak_decision(task) is mult_weak_decision(task)
+    assert len(calls) == 1

@@ -3,11 +3,13 @@
 import copy
 import gc
 import json
+import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nestalg import rules as rule_module
@@ -22,8 +24,10 @@ from nestalg.operators import (
     apply_to_vector,
     band,
     basis_vector,
+    adjoint,
     canonicalize,
     col_support,
+    compress,
     diag,
     entry,
     OPERATOR_SCHEMA,
@@ -406,6 +410,43 @@ operators = st.recursive(
 )
 
 
+cuts = st.one_of(
+    st.none(),
+    st.integers(-8, 8),
+    st.fractions(-8, 8, max_denominator=4),
+    st.sampled_from([-math.inf, math.inf]),
+)
+
+
+def _support_rule_fires(T, lo, hi) -> bool:
+    """The window holds no index, or the support hulls of T's canonical form
+    both lie inside it, or one of them misses it."""
+    p = interval_proj(lo, hi)
+    if p is ZERO:
+        return True
+    w, K = p.rule.support, canonicalize(T)
+    hulls = (row_support(K), col_support(K))
+    inside = all(w.lo <= s.lo and s.hi <= w.hi for s in hulls)
+    return inside or any(s.is_empty or s.hi < w.lo or s.lo > w.hi for s in hulls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(leaves, min_size=1, max_size=3).map(lambda ts: op_sum(*ts)), cuts, cuts)
+@example(op_sum(band(rule_harmonic(), -1), finite_matrix(2, 3, [[1.0]])), None, None)
+@example(rank_one(basis_vector(2), basis_vector(5)), 1, 5)
+@example(rank_one(basis_vector(2), basis_vector(5)), Fraction(5, 2), math.inf)
+@example(diag(rule_indicator(0, 3)), Fraction(1, 4), Fraction(3, 4))
+def test_compress_reads_support_hulls_as_the_rewrite_would(T, lo, hi):
+    p = interval_proj(lo, hi)
+    rewrite = canonicalize(op_product(op_product(p, T), p))
+    C = compress(T, lo, hi)
+    if _support_rule_fires(T, lo, hi):
+        assert C is rewrite
+    ends = [float(c) for c in (lo, hi) if c is not None and math.isfinite(c)]
+    wlo, whi = math.floor(min(ends, default=0.0)) - 6, math.ceil(max(ends, default=0.0)) + 6
+    assert np.array_equal(render(C, wlo, whi), render(rewrite, wlo, whi))
+
+
 @settings(max_examples=60, deadline=None)
 @given(operators)
 def test_canonical_forms_round_trip(T):
@@ -548,3 +589,22 @@ def test_dropped_nodes_leave_the_intern_table():
     del T, C
     gc.collect()
     assert len(rule_module._INTERNED) == before
+
+
+def test_stored_adjoints_make_no_reference_cycles():
+    # a diagonal is its own adjoint, and two rank-ones are each other's:
+    # neither may keep a reference back to itself, or the pair would outlive
+    # its last user until a collection
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(rule_module._INTERNED)
+        d = diag(rule_geometric(0.5771))
+        assert adjoint(d) is d
+        x = rank_one(basis_vector(31), make_vector(rule_geometric(0.5771)))
+        y = adjoint(x)
+        assert y is op_adjoint(x) and adjoint(y) is x and adjoint(x) is y
+        del d, x, y
+        assert len(rule_module._INTERNED) == before
+    finally:
+        gc.enable()

@@ -114,6 +114,7 @@ def test_verify_suite_all_pass():
         "embedding-bounds",
         "radical-markers",
         "norm-lower-bound",
+        "decidability",
     ]
 
 
