@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""One digest of every decide verdict of the benchmark pools.
+"""One digest of every outcome of the benchmark pools.
 
-Builds the decide operations of perfbench's pools (perfbench/workloads.py,
-imported unchanged) for the given seeds and rounds, asks the six
-questions on each, and prints the operation count and a SHA-256 over
-each question's status, reason and repr of its detail, and over the
-render bytes of both canonical operands on a fixed window.  Two versions
-of the program that print the same digest give the same verdicts and the
-same canonical operands; an operation that raises enters the digest as
-its exception.  After each pool's digest line comes that pool's count of
-each (question, status) pair, so a change whose details move while its
-decided statuses stay put shows as a new digest over the same counts.
+Builds the operations of perfbench's pools (perfbench/workloads.py,
+imported unchanged) for the given seeds and rounds and prints the
+operation count and a SHA-256 over their outcomes.  A decide operation
+asks the six questions and enters the digest with each question's
+status, reason and repr of its detail, and with the render bytes of both
+canonical operands on a fixed window; any other operation (witness,
+embed, refute, ideal) enters it with the repr of the outcome that
+workloads.run_op returns.  Two versions of the program that print the
+same digest give the same verdicts, outcomes and canonical operands; an
+operation that raises enters the digest as its exception.  After each
+pool's digest line comes that pool's count of each (question or kind,
+status) pair, so a change whose details move while its statuses stay put
+shows as a new digest over the same counts.
 
 Run from the root of the repository:
 
   PYTHONPATH=src python3 scripts/verdict_digest.py --workload decide-stock decide-rich --seeds 1 2 3 --rounds 0 1
+  PYTHONPATH=src python3 scripts/verdict_digest.py --workload witness-ideal --seeds 1 2 3 --rounds 0 1
 """
 
 import argparse
@@ -37,7 +41,15 @@ WINDOWS = {"N": (1, 48), "Z": (-24, 24)}  # operand render windows, by basis
 
 
 def op_lines(op, counts: Counter):
-    """The digest lines of one decide operation; counts each (question, status)."""
+    """The digest lines of one operation; counts each (question or kind, status)."""
+    if op.kind != "decide":
+        try:
+            out = workloads.run_op(op)[0]
+        except Exception as exc:
+            counts[op.kind, type(exc).__name__] += 1
+            return [f"{op.kind}: {type(exc).__name__}: {exc}".encode()]
+        counts[op.kind, str(out["status"])] += 1
+        return [f"{op.kind}|{out!r}".encode()]
     nest = make_nest(op.nest)
     try:
         task = algebra.MultiplicationTask.build(nest, op.inputs["a"], op.inputs["b"])
@@ -58,9 +70,9 @@ def op_lines(op, counts: Counter):
 
 
 def digest(workload: str, seed: int, rnd: int, limit=None):
-    """(operation count, hex SHA-256, (question, status) counts) of the
-    decide operations of one pool."""
-    ops = [op for op in workloads.POOLS[workload](seed, rnd) if op.kind == "decide"][:limit]
+    """(operation count, hex SHA-256, (question or kind, status) counts) of
+    the operations of one pool."""
+    ops = workloads.POOLS[workload](seed, rnd)[:limit]
     h, counts = hashlib.sha256(), Counter()
     for op in ops:
         for line in op_lines(op, counts):
@@ -74,7 +86,7 @@ def main(argv=None):
                     choices=sorted(workloads.POOLS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1])
     ap.add_argument("--rounds", nargs="+", type=int, default=[0])
-    ap.add_argument("--limit", type=int, default=None, help="only the first LIMIT decide operations of each pool")
+    ap.add_argument("--limit", type=int, default=None, help="only the first LIMIT operations of each pool")
     args = ap.parse_args(argv)
     total, overall = 0, hashlib.sha256()
     for workload in args.workload:

@@ -53,7 +53,7 @@ from .operators import (
     operator_to_json,
 )
 from .algebra import MultiplicationTask, alg_membership, rank_one_membership
-from .numerics import NormInterval, power_norm, op_norm, singular_values
+from .numerics import NormInterval, power_norm, singular_values
 from .compactness import classify_compact, ess_norm_proxy, boundary_rq, boundary_ul
 from .decisions import (
     mult_zero_test,

@@ -27,8 +27,9 @@ Two boundary computations live here as well:
 * the compact boundaries: the join of cuts whose lower compression is
   compact and the meet of cuts whose upper compression is compact.
 
-A canonical node stores its compactness verdict and its column ends, so
-the questions of one decision share them.
+A canonical node stores its compactness verdict and its column ends,
+each with the scan's hit there, so the questions of one decision share
+them and the zero test reads a's witness column off the hit.
 
 On all-integer nests the lower/upper compressions at different finite
 cuts differ by a finite-rank perturbation, so one probe cut decides all
@@ -70,11 +71,6 @@ INTERFERENCE_CAP = 1 << 16
 
 def _cut_value(cut) -> float:
     return cut.value if isinstance(cut, NestCut) else float(cut)
-
-
-def cut_proj(cut: NestCut) -> OperatorExpr:
-    """Projection onto coordinates <= cut value."""
-    return interval_proj(None, _cut_value(cut))
 
 
 def cocut_proj(cut: NestCut) -> OperatorExpr:
@@ -304,10 +300,12 @@ def first_nonzero_column(C: OperatorExpr, start: int, direction: int = +1):
     return None
 
 
-def _exact_col_end(C: OperatorExpr, direction: int) -> float:
-    """The first (direction +1) or last (-1) nonzero column of the canonical C,
-    stored on C per direction; an UndecidableBoundary is stored as its
-    message, since the exception's traceback would hold C.
+def col_end_hit(C: OperatorExpr, direction: int):
+    """The scan's hit (j, i, C[i, j]) at the first (direction +1) or last (-1)
+    nonzero column j of the canonical C, or the infinite end (a float) when
+    C is zero or its columns reach that way indefinitely; stored on C per
+    direction.  An UndecidableBoundary is stored as its message, since the
+    exception's traceback would hold C.
 
     Only exact_row_hi scans downward, on the adjoint, so its messages say "row".
     """
@@ -324,7 +322,12 @@ def _exact_col_end(C: OperatorExpr, direction: int) -> float:
     return end
 
 
-def _scan_col_end(C: OperatorExpr, direction: int) -> float:
+def _col_end(C: OperatorExpr, direction: int) -> float:
+    end = col_end_hit(C, direction)
+    return end if isinstance(end, float) else float(end[0])
+
+
+def _scan_col_end(C: OperatorExpr, direction: int):
     what = "column" if direction > 0 else "row"
     parts = flatten_sum(C)
     if not parts:
@@ -347,17 +350,17 @@ def _scan_col_end(C: OperatorExpr, direction: int) -> float:
     hit = first_nonzero_column(C, int(j0), direction)
     if hit is None:
         raise UndecidableBoundary(f"{what} walk exhausted its budget without a nonzero {what}")
-    return float(hit[0])
+    return hit
 
 
 def exact_col_lo(C: OperatorExpr) -> float:
     """Smallest nonzero column of the canonical expression; +inf when zero."""
-    return _exact_col_end(canonicalize(C), +1)
+    return _col_end(canonicalize(C), +1)
 
 
 def exact_row_hi(C: OperatorExpr) -> float:
     """Largest nonzero row of the canonical expression; -inf when zero."""
-    return _exact_col_end(adjoint(canonicalize(C)), -1)
+    return _col_end(adjoint(canonicalize(C)), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,10 @@ from .compactness import (
     CompactVerdict,
     boundary_rq,
     classify_compact,
+    col_end_hit,
     compress_lower,
     compress_upper,
     default_window,
-    exact_col_lo,
     first_nonzero_column,
     join_of_compact_lower_corners,
     limit_restricted_norm,
@@ -104,9 +104,10 @@ def mult_zero_test(task: MultiplicationTask) -> MultVerdict:
     # nonzero: take x = e_ib (x) e_ja with b nonzero in row ib above the
     # annihilator cut and a nonzero in column ja; then a x b = (b* e_ib) (x)
     # (a e_ja) is nonzero.  Row ib is the first nonzero column of b* from
-    # the cut up; column ja is the first of a from its first nonzero
-    # column up or, when a's columns reach down indefinitely, from the
-    # chosen row down, where the pairing is automatically admissible.
+    # the cut up; column ja is a's first nonzero column, read off the scan
+    # that found it, or, when a's columns reach down indefinitely, the
+    # first from the chosen row down, where the pairing is automatically
+    # admissible.
     ca, cb = canonicalize(task.a), canonicalize(task.b)
     start = r.value + 1 if math.isfinite(r.value) else row_support(cb).lo
     try:
@@ -114,10 +115,8 @@ def mult_zero_test(task: MultiplicationTask) -> MultVerdict:
         if found is None:
             return MultVerdict("zero", "Unknown", "nonzero by boundaries but witness scan failed", detail)
         ib, jb, bval = found
-        ja = exact_col_lo(ca)
-        if math.isfinite(ja):
-            ia_probe = first_nonzero_column(ca, int(ja))
-        else:
+        ia_probe = col_end_hit(ca, +1)
+        if isinstance(ia_probe, float):
             ia_probe = first_nonzero_column(ca, int(min(ib, col_support(ca).hi)), -1)
     except UndecidableBoundary as exc:
         return MultVerdict("zero", "Unknown", f"witness scan not certified: {exc}", detail)
@@ -400,8 +399,8 @@ def _compact_cut_sets(task: MultiplicationTask):
 
     Explicit nests enumerate; all-integer nests return descriptors since
     the finite cuts behave identically by perturbation invariance.
-    Returns (a_set, b_set) where each is a dict with keys:
-    "cuts" (explicit list) or "finite_all" (bool) plus bottom/top flags.
+    Returns (a_set, b_set) where each is a dict with the key "cuts"
+    (explicit list) or "finite_all" (bool).
     """
     nest = task.nest
     if nest.is_all:
@@ -410,12 +409,7 @@ def _compact_cut_sets(task: MultiplicationTask):
         else:
             a_fin = classify_compact(compress_lower(task.a, NestCut(0.0))).status == "Compact"
         b_fin = classify_compact(compress_upper(task.b, NestCut(0.0))).status == "Compact"
-        a_top = classify_compact(canonicalize(task.a)).status == "Compact"
-        b_bot = classify_compact(canonicalize(task.b)).status == "Compact"
-        return (
-            {"finite_all": a_fin, "bottom": True, "top": a_top},
-            {"finite_all": b_fin, "bottom": b_bot, "top": True},
-        )
+        return {"finite_all": a_fin}, {"finite_all": b_fin}
     a_cuts, b_cuts = [], []
     for v in nest.cut_values:
         c = NestCut(v)

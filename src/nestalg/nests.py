@@ -36,9 +36,6 @@ class NestCut:
 
     value: float
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
     def __repr__(self) -> str:
         if self.value == POS_INF:
             return "Cut(+inf)"

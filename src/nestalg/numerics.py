@@ -200,11 +200,6 @@ def power_norm(M: np.ndarray, iters: int = 200, rtol: float = 1e-9, seed: int = 
     return best
 
 
-def op_norm(M: np.ndarray, iters: int = 200, rtol: float = 1e-9, seed: int = 0) -> NormInterval:
-    lo = power_norm(M, iters=iters, rtol=rtol, seed=seed)
-    return NormInterval(lo, matrix_upper_bounds(M))
-
-
 def singular_values(M: np.ndarray, k: int) -> np.ndarray:
     """Lower bounds on the leading k singular values of M, descending.
 

@@ -4,20 +4,22 @@ Operators live on the same sequence space as the nests.  The expression
 grammar is closed: diagonals and weighted shifts driven by sequence
 rules, rank-one operators with square-summable symbol vectors, interval
 projections, finite matrices, and sums/scales/products/adjoints of
-those.  Construction immediately normalizes toward a small core:
+those.  Construction immediately normalizes toward a small core, with
+scalars and adjoints pushed down into the nodes:
 
   Band(rule, offset)   entries rule(j) at (j + offset, j); offset 0 is a
                        diagonal, -1 the lowering shift, +1 the raising
                        shift; products of shifts produce wider offsets
   RankOne(e, f)        (e (x) f) h = <h, e> f, entries e(j) * f(i)
   FiniteMatrix         explicit dense block
-  Sum / Scale / Product leftovers
+  Sum / Product        leftovers
 
 canonicalize() flattens sums, merges bands of equal offset, rewrites
 products away (a product of two rank-ones becomes a scaled rank-one via
 a windowed inner product with a certified tail slack; the rewrite is
-only taken when the slack is below 1e-12 relative).  Entry evaluation
-and truncated rendering are exact on the canonical product-free core.
+only taken when the slack is below 1e-12 relative), all in one pass
+whose result is its own canonical form.  Entry evaluation and truncated
+rendering are exact on the canonical product-free core.
 
 Nodes are interned (rules.Node): building a node whose fields match
 a live node returns that node, so equal trees are one object and
@@ -195,12 +197,6 @@ class SumOp(OperatorExpr):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class ScaleOp(OperatorExpr):
-    scalar: float
-    x: OperatorExpr
-
-
-@dataclass(frozen=True, eq=False, init=False)
 class ProductOp(OperatorExpr):
     left: OperatorExpr
     right: OperatorExpr
@@ -299,9 +295,7 @@ def op_scale(scalar: float, x: OperatorExpr) -> OperatorExpr:
         return _trim_finite(x.row_lo, x.col_lo, s * x.as_array())
     if isinstance(x, SumOp):
         return op_sum(op_scale(s, x.left), op_scale(s, x.right))
-    if isinstance(x, ScaleOp):
-        return op_scale(s * x.scalar, x.x)
-    return ScaleOp(s, x)
+    return op_product(op_scale(s, x.left), x.right)  # s (l r) = (s l) r
 
 
 def op_adjoint(x: OperatorExpr) -> OperatorExpr:
@@ -316,8 +310,6 @@ def op_adjoint(x: OperatorExpr) -> OperatorExpr:
         return FiniteMatrix(x.col_lo, x.row_lo, tuple(zip(*x.rows)))
     if isinstance(x, SumOp):  # terms are nonzero, and so are their adjoints
         return SumOp(op_adjoint(x.left), op_adjoint(x.right))
-    if isinstance(x, ScaleOp):
-        return op_scale(x.scalar, op_adjoint(x.x))
     if isinstance(x, ProductOp):
         return op_product(op_adjoint(x.right), op_adjoint(x.left))
     raise SchemaError(f"cannot take adjoint of {x!r}")
@@ -350,8 +342,6 @@ def apply_to_vector(T: OperatorExpr, rule: SeqRule) -> SeqRule:
         return rule_finite(table)
     if isinstance(T, SumOp):
         return rule_sum(apply_to_vector(T.left, rule), apply_to_vector(T.right, rule))
-    if isinstance(T, ScaleOp):
-        return rule_scale(apply_to_vector(T.x, rule), T.scalar)
     if isinstance(T, RankOne):
         val, slack = inner_rules(rule, T.e.rule)
         if slack > MERGE_RTOL * (1.0 + abs(val)):
@@ -457,32 +447,16 @@ def _pair_product(l: OperatorExpr, r: OperatorExpr) -> OperatorExpr:
         if new_e.is_square_summable() is not True:
             return ProductOp(l, r)
         return RankOne(RuledVector(new_e), l.f)
+    # a band scales the rows of a block and moves them by its offset, or
+    # scales its columns and moves them back; each entry is one product, and
+    # the -0.0 that a zero entry may give is cleared when the parts merge
     if isinstance(l, Band) and isinstance(r, FiniteMatrix):
-        cols = range(r.col_lo, r.col_hi + 1)
-        table = {}
-        for ci, j in enumerate(cols):
-            for ri in range(len(r.rows)):
-                i = r.row_lo + ri
-                v = r.rows[ri][ci]
-                if v != 0.0:
-                    w = l.rule.value(i) * v
-                    if w != 0.0:
-                        table[(i + l.offset, j)] = table.get((i + l.offset, j), 0.0) + w
-        return _table_to_finite(table)
+        vals = np.array(l.rule.values_on(r.row_lo, r.row_hi))
+        return _trim_finite(r.row_lo + l.offset, r.col_lo, vals[:, None] * r.as_array())
     if isinstance(l, FiniteMatrix) and isinstance(r, Band):
-        table = {}
-        for ri in range(len(l.rows)):
-            i = l.row_lo + ri
-            for ci in range(len(l.rows[0])):
-                k = l.col_lo + ci
-                v = l.rows[ri][ci]
-                if v != 0.0:
-                    # column j of r contributes at row j + off = k
-                    j = k - r.offset
-                    w = v * r.rule.value(j)
-                    if w != 0.0:
-                        table[(i, j)] = table.get((i, j), 0.0) + w
-        return _table_to_finite(table)
+        col_lo = l.col_lo - r.offset  # column j of r lands in row j + offset
+        vals = np.array(r.rule.values_on(col_lo, l.col_hi - r.offset))
+        return _trim_finite(l.row_lo, col_lo, l.as_array() * vals[None, :])
     if isinstance(l, FiniteMatrix) and isinstance(r, FiniteMatrix):
         # align the contraction index: columns of l against rows of r
         k0, k1 = max(l.col_lo, r.row_lo), min(l.col_hi, r.row_hi)
@@ -494,46 +468,15 @@ def _pair_product(l: OperatorExpr, r: OperatorExpr) -> OperatorExpr:
     return ProductOp(l, r)
 
 
-def _table_to_finite(table: dict) -> OperatorExpr:
-    if not table:
-        return ZERO
-    r0 = min(i for i, _ in table)
-    r1 = max(i for i, _ in table)
-    c0 = min(j for _, j in table)
-    c1 = max(j for _, j in table)
-    acc = np.zeros((r1 - r0 + 1, c1 - c0 + 1))
-    for (i, j), v in table.items():
-        acc[i - r0, j - c0] = v
-    return _trim_finite(r0, c0, acc)
-
-
 def _canon_once(T: OperatorExpr) -> OperatorExpr:
-    if isinstance(T, (ZeroOp, Band, RankOne, FiniteMatrix)) or T.__dict__.get("_canon") is _SELF:
+    """One rewrite of T over the canonical forms of its children."""
+    if isinstance(T, (ZeroOp, Band, RankOne, FiniteMatrix)):
         return T
     if isinstance(T, SumOp):
-        parts = []
-        for t in flatten_sum(T):
-            ct = _canon_once(t)
-            parts.extend(flatten_sum(ct))
-        return op_sum(*_merge_parts(parts))
-    if isinstance(T, ScaleOp):
-        return op_scale(T.scalar, _canon_once(T.x))
+        return op_sum(*_merge_parts([p for t in flatten_sum(T) for p in flatten_sum(canonicalize(t))]))
     if isinstance(T, ProductOp):
-        l = _canon_once(T.left)
-        r = _canon_once(T.right)
-        if isinstance(l, ZeroOp) or isinstance(r, ZeroOp):
-            return ZERO
-        lparts = flatten_sum(l) if isinstance(l, SumOp) else [l]
-        rparts = flatten_sum(r) if isinstance(r, SumOp) else [r]
-        acc = []
-        for lp in lparts:
-            for rp in rparts:
-                prod = _pair_product(lp, rp)
-                if not isinstance(prod, ZeroOp):
-                    acc.append(prod)
-        if not acc:
-            return ZERO
-        return op_sum(*_merge_parts(acc))
+        lparts, rparts = flatten_sum(canonicalize(T.left)), flatten_sum(canonicalize(T.right))
+        return op_sum(*_merge_parts([_pair_product(lp, rp) for lp in lparts for rp in rparts]))
     raise SchemaError(f"unknown node {T!r}")
 
 
@@ -541,25 +484,25 @@ _SELF = object()  # a stored form that is the node itself, kept without a self-r
 
 
 def canonicalize(T: OperatorExpr) -> OperatorExpr:
-    """Rewrite to the product-free core; fixpoint within a bounded pass count.
+    """Rewrite to the product-free core in one pass, stored on T.
 
-    The result is stored on T, and a fixpoint is marked, so each live node
-    is canonicalized once and `_canon_once` skips canonical subtrees.  A
-    result cut off by the pass cap is stored for T but is not marked.
+    One pass is a fixpoint: an atom is its own form, and every other
+    branch of `_canon_once` returns op_sum(*_merge_parts(...)) of atoms
+    and of the products of canonical parts that _pair_product cannot
+    reduce.  A second pass sees the same parts, since each part is
+    canonical itself and _pair_product gives the same product of the same
+    parts, and the merge is idempotent (one band per offset, one block
+    with no -0.0 entry, sorted).  So the result is marked as its own
+    canonical form, and each live node is rewritten once.
     """
     known = T.__dict__.get("_canon")
     if known is not None:
         return T if known is _SELF else known
-    cur = T
-    for _ in range(8):
-        nxt = _canon_once(cur)
-        if nxt is cur:
-            cur.__dict__["_canon"] = _SELF
-            break
-        cur = nxt
-    if cur is not T:
-        T.__dict__["_canon"] = cur
-    return cur
+    C = _canon_once(T)
+    C.__dict__["_canon"] = _SELF
+    if C is not T:
+        T.__dict__["_canon"] = C
+    return C
 
 
 def compress(T: OperatorExpr, lo, hi) -> OperatorExpr:
@@ -610,14 +553,6 @@ def adjoint(T: OperatorExpr) -> OperatorExpr:
     return T if A is _SELF else A
 
 
-def is_product_free(T: OperatorExpr) -> bool:
-    if isinstance(T, (ZeroOp, Band, RankOne, FiniteMatrix)):
-        return True
-    if isinstance(T, SumOp):
-        return is_product_free(T.left) and is_product_free(T.right)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # metadata
 
@@ -649,8 +584,6 @@ def col_support(T: OperatorExpr) -> Support:
         return Support(float(T.col_lo), float(T.col_hi), False)
     if isinstance(T, SumOp):
         return _hull(col_support(T.left), col_support(T.right))
-    if isinstance(T, ScaleOp):
-        return col_support(T.x)
     if isinstance(T, ProductOp):
         return col_support(T.right).intersect(NEG_INF, POS_INF)
     raise SchemaError(f"unknown node {T!r}")
@@ -667,8 +600,6 @@ def row_support(T: OperatorExpr) -> Support:
         return Support(float(T.row_lo), float(T.row_hi), False)
     if isinstance(T, SumOp):
         return _hull(row_support(T.left), row_support(T.right))
-    if isinstance(T, ScaleOp):
-        return row_support(T.x)
     if isinstance(T, ProductOp):
         return row_support(T.left).intersect(NEG_INF, POS_INF)
     raise SchemaError(f"unknown node {T!r}")
@@ -686,8 +617,6 @@ def norm_bound(T: OperatorExpr) -> float:
         return float(np.linalg.norm(T.as_array(), "fro"))
     if isinstance(T, SumOp):
         return norm_bound(T.left) + norm_bound(T.right)
-    if isinstance(T, ScaleOp):
-        return abs(T.scalar) * norm_bound(T.x)
     if isinstance(T, ProductOp):
         return norm_bound(T.left) * norm_bound(T.right)
     raise SchemaError(f"unknown node {T!r}")
@@ -707,8 +636,6 @@ def entry(T: OperatorExpr, i: int, j: int) -> float:
         return 0.0
     if isinstance(T, SumOp):
         return entry(T.left, i, j) + entry(T.right, i, j)
-    if isinstance(T, ScaleOp):
-        return T.scalar * entry(T.x, i, j)
     raise SchemaError(f"entry() needs a product-free expression, got {T!r}")
 
 
@@ -741,20 +668,13 @@ def render_with_leakage(T: OperatorExpr, lo: int, hi: int):
     out = np.zeros((n, n))
     leak = 0.0
     for part in flatten_sum(C):
-        if is_product_free(part):
-            _add_exact(out, part, lo, hi)
-        else:
+        if isinstance(part, ProductOp):
             m, bound = _render_product(part, lo, hi)
             out += m
             leak += bound
+        else:
+            _add_exact(out, part, lo, hi)
     return out, leak
-
-
-def _render_exact(part: OperatorExpr, lo: int, hi: int) -> np.ndarray:
-    n = hi - lo + 1
-    out = np.zeros((n, n))
-    _add_exact(out, part, lo, hi)
-    return out
 
 
 def _add_exact(out: np.ndarray, part: OperatorExpr, lo: int, hi: int):
@@ -783,14 +703,6 @@ def _add_exact(out: np.ndarray, part: OperatorExpr, lo: int, hi: int):
 
 def _render_product(part: OperatorExpr, lo: int, hi: int):
     """Windowed product with an enlarged internal window and an error bound."""
-    if isinstance(part, ScaleOp):
-        m, bound = _render_product(part.x, lo, hi) if not is_product_free(part.x) else (
-            _render_exact(part.x, lo, hi),
-            0.0,
-        )
-        return part.scalar * m, abs(part.scalar) * bound
-    if not isinstance(part, ProductOp):
-        return _render_exact(part, lo, hi), 0.0
     width = hi - lo + 1
     elo, ehi = lo - width, hi + width
     if ehi - elo + 1 > RENDER_CAP:
@@ -860,8 +772,9 @@ VECTOR = Codec(lambda doc: make_vector(rule_from_json(doc)), lambda v: rule_to_j
 ROWS = Codec(list, lambda rows: [list(r) for r in rows])
 TEXT = Codec(str, str)
 
-# diag, wshift, identity, interval_proj and adjoint are read only: every
-# band is written as `band`, and the others build bands or push adjoints down
+# diag, wshift, identity, interval_proj, scale and adjoint are read only:
+# every band is written as `band`, and the others build bands or push
+# scalars and adjoints down
 OPERATOR_SCHEMA = Schema("op", "operator", (
     Row("zero", ZeroOp, lambda: ZERO),
     Row("identity", None, identity),
@@ -874,7 +787,7 @@ OPERATOR_SCHEMA = Schema("op", "operator", (
         (Field("row_lo", INT, 1), Field("col_lo", INT, 1), Field("entries", ROWS, attr="rows"))),
     Row("sum", SumOp, lambda terms: op_sum(*terms), (Field("terms", OPERATORS),)),
     Row("sum", None, op_sum, (Field("left", OPERATOR), Field("right", OPERATOR))),
-    Row("scale", ScaleOp, op_scale, (Field("scalar", NUMBER), Field("x", OPERATOR))),
+    Row("scale", None, op_scale, (Field("scalar", NUMBER), Field("x", OPERATOR))),
     Row("product", None, _product_of, (Field("factors", OPERATORS),)),
     Row("product", ProductOp, op_product, (Field("left", OPERATOR), Field("right", OPERATOR))),
     Row("adjoint", None, op_adjoint, (Field("x", OPERATOR),)),

@@ -13,7 +13,6 @@ from nestalg.compactness import (
     cocut_proj,
     compress_lower,
     compress_upper,
-    cut_proj,
     ess_norm_proxy,
     exact_col_lo,
     exact_row_hi,
@@ -29,6 +28,7 @@ from nestalg.operators import (
     entry,
     finite_matrix,
     identity,
+    interval_proj,
     op_scale,
     op_sum,
     rank_one,
@@ -257,7 +257,7 @@ def test_compressions_are_corners():
 
 
 def test_cut_projections_complementary():
-    p = cut_proj(NestCut(3.0))
+    p = interval_proj(None, 3)
     q = cocut_proj(NestCut(3.0))
     for i in range(-4, 9):
         assert entry(p, i, i) + entry(q, i, i) == 1.0

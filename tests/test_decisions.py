@@ -114,6 +114,28 @@ def test_zero_and_compact_see_past_a_long_cancellation():
     assert mult_compact_decision(task).status == "NonCompact"
 
 
+def test_zero_test_reads_the_column_witness_off_the_column_end_scan(monkeypatch):
+    from nestalg import compactness, decisions
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compactness.first_nonzero_column(*args)
+
+    # a's first nonzero column is 3, finite; b reaches row 3, past the annihilator cut 2
+    a = op_sum(diag(rule_indicator(4, 6)), finite_matrix(2, 3, [[0.4471]]))
+    b = finite_matrix(3, 5, [[0.3313]])
+    task = MultiplicationTask.build(make_nest({"basis": "N", "cuts": "all"}), a, b)
+    mult_zero_test(task)  # scans and stores both column ends
+    monkeypatch.setattr(decisions, "first_nonzero_column", counted)
+    zero = mult_zero_test(task)
+    assert zero.status == "NonZero"
+    assert zero.detail["witness"]["input"] == {"e_index": 3, "f_index": 3}
+    assert zero.detail["witness"]["image_entry"] == {"row": 2, "col": 5, "value": 0.4471 * 0.3313}
+    assert len(calls) == 1  # only b's witness row; a's column comes with its end
+
+
 def test_zero_verdict_detail_names_both_cuts():
     spec = find_task("annihilated-rank-ones")
     task = build_task(spec)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from nestalg.numerics import (
     NormInterval,
     matrix_upper_bounds,
-    op_norm,
     power_norm,
     singular_values,
 )
@@ -150,16 +149,6 @@ def test_matrix_upper_bounds_dominates_norm(rng):
     for _ in range(20):
         M = random_matrix(rng, n=8)
         assert np.linalg.norm(M, 2) <= matrix_upper_bounds(M) + 1e-10
-
-
-def test_op_norm_brackets_truth(rng):
-    for _ in range(10):
-        M = random_matrix(rng, n=8)
-        ni = op_norm(M)
-        true = np.linalg.norm(M, 2)
-        assert ni.lo <= true + 1e-8
-        assert ni.hi >= true - 1e-8
-        assert ni.lo <= ni.hi
 
 
 def test_norm_interval_width():

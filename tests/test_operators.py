@@ -17,10 +17,12 @@ from nestalg.errors import SchemaError, UnboundedRule
 from nestalg.operators import (
     ZERO,
     Band,
+    ProductOp,
     FiniteMatrix,
     RankOne,
     RuledVector,
     SumOp,
+    _canon_once,
     apply_to_vector,
     band,
     basis_vector,
@@ -32,6 +34,7 @@ from nestalg.operators import (
     entry,
     OPERATOR_SCHEMA,
     finite_matrix,
+    flatten_sum,
     identity,
     interval_proj,
     make_vector,
@@ -405,6 +408,7 @@ operators = st.recursive(
     lambda inner: st.one_of(
         st.lists(inner, min_size=2, max_size=3).map(lambda ts: op_sum(*ts)),
         st.builds(op_product, inner, inner),
+        st.builds(op_scale, st.sampled_from([-1.0, -0.5, 3.0]), inner),
     ),
     max_leaves=4,
 )
@@ -453,6 +457,40 @@ def test_canonical_forms_round_trip(T):
     C = canonicalize(T)
     again = parse_operator(json.loads(json.dumps(operator_to_json(C))))
     assert np.array_equal(render(again, -12, 12), render(C, -12, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(operators)
+@example(op_scale(-1.0, op_product(identity(), op_sum(
+    finite_matrix(3, 2, [[0, 1, 0], [0.5, -1, 1], [0.5, 0.5, 0.5]]), identity()))))
+def test_one_pass_is_a_fixpoint(T):
+    C = canonicalize(T)
+    assert _canon_once(C) is C
+    assert all(_canon_once(part) is part for part in flatten_sum(C))
+
+
+# a band with a zero entry at index 2, and a block with zero entries
+BLOCK = finite_matrix(1, 2, [[0.0, 1.5, -0.25], [0.5, 0.0, 0.0], [-1.0, 0.0, 0.75]])
+BAND_RULE = rule_sum(rule_geometric(0.5), rule_finite({2: -0.25}))
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+@pytest.mark.parametrize("band_left", [True, False], ids=["band-block", "block-band"])
+def test_block_band_products_match_dense_products(offset, band_left):
+    lo, hi = -3, 8  # holds the block's rows and columns moved by any offset
+    l, r = (band(BAND_RULE, offset), BLOCK) if band_left else (BLOCK, band(BAND_RULE, offset))
+    C = canonicalize(op_product(l, r))
+    assert type(C) is FiniteMatrix
+    assert np.array_equal(render(C, lo, hi), render(l, lo, hi) @ render(r, lo, hi))
+
+
+def test_a_scale_document_over_a_product_renders_as_the_scaled_product():
+    product = {"op": "product", "left": {"op": "band", "rule": {"kind": "geometric", "r": 0.5}, "offset": 1},
+               "right": {"op": "finite_matrix", "row_lo": 1, "col_lo": 2, "entries": [[0.0, 1.5], [0.5, 0.0]]}}
+    T = parse_operator({"op": "scale", "scalar": -0.5, "x": product})
+    assert type(T) is ProductOp
+    assert operator_to_json(T)["op"] == "product"
+    assert np.array_equal(render(T, -2, 6), -0.5 * render(parse_operator(product), -2, 6))
 
 
 @pytest.mark.parametrize("lo, hi", [(-6, 6), (-2, 3), (0, 9), (3, 4), (-9, -1)])

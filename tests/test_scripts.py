@@ -39,9 +39,10 @@ def test_every_traced_name_resolves():
 def test_verdict_digest_repeats():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, os.path.join(ROOT, "scripts", "verdict_digest.py"),
-           "--workload", "decide-stock", "--seeds", "1", "--rounds", "0", "--limit", "12"]
-    runs = [subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120) for _ in range(2)]
-    assert all(r.returncode == 0 for r in runs), runs[0].stderr[-2000:]
-    assert runs[0].stdout == runs[1].stdout
-    assert "ops=12 sha256=" in runs[0].stdout
+    script = [sys.executable, os.path.join(ROOT, "scripts", "verdict_digest.py"), "--seeds", "1", "--rounds", "0"]
+    for workload, limit in (("decide-stock", 12), ("witness-ideal", 4)):
+        cmd = script + ["--workload", workload, "--limit", str(limit)]
+        runs = [subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120) for _ in range(2)]
+        assert all(r.returncode == 0 for r in runs), runs[0].stderr[-2000:]
+        assert runs[0].stdout == runs[1].stdout
+        assert f"ops={limit} sha256=" in runs[0].stdout
