@@ -35,7 +35,7 @@ from .ideals import (
     radical_seminorm,
     reconstruction_residual,
 )
-from .scenarios import DEFAULT_QUESTIONS, Scenario, run_scenario, verify_suite
+from .scenarios import Scenario, run_scenario, verify_suite
 
 
 def _load_config(path):
@@ -52,16 +52,9 @@ def _task_from(cfg) -> MultiplicationTask:
 
 
 def cmd_decide(cfg, seed: int):
-    sc = Scenario(
-        name=cfg.get("name", "decide"),
-        nest=cfg["nest"],
-        a=cfg["a"],
-        b=cfg["b"],
-        questions=tuple(cfg.get("questions", DEFAULT_QUESTIONS)),
-    )
-    report = run_scenario(sc, seed=seed)
+    report = run_scenario(Scenario.from_json({"name": "decide", **cfg}), seed=seed)
     if report["status"] != "ok":
-        return report, 1
+        return report, 1, []
     open_q = [q for q, v in report["verdicts"].items() if v["status"] == "Unknown"]
     code = 0 if not open_q and report["all_consistent"] else 3
     report["open_questions"] = open_q
@@ -92,11 +85,10 @@ def cmd_ideal(cfg, seed: int):
     if "subnest" in cfg:
         f = FiniteSubnest.build(nest, cfg["subnest"])
         iv = delta_norm(op, f)
-        lo, hi = (1, 64) if nest.basis == "N" else (-32, 32)
         report["subnest"] = {
             "cuts": f.to_json(),
             "expectation_norm": {"lo": iv.lo, "hi": iv.hi},
-            "reconstruction_residual": reconstruction_residual(op, f, (lo, hi)),
+            "reconstruction_residual": reconstruction_residual(op, f, nest.window(32)),
         }
     code = 0 if dec.status != "Unknown" else 3
     return report, code, rows
@@ -213,8 +205,7 @@ def main(argv=None) -> int:
                 "refute": cmd_refute,
                 "embed": cmd_embed,
             }[args.command]
-            out = fn(cfg, args.seed)
-            report, code, rows = out if len(out) == 3 else (out[0], out[1], [])
+            report, code, rows = fn(cfg, args.seed)
     except (NestAlgError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,17 +24,23 @@ Two boundary computations live here as well:
   columns): the first nonzero column of a, and the last nonzero row of
   b as the last nonzero column of its adjoint.  The zero test's
   witnesses come from the same scanner;
-* the compact boundaries: the join of cuts whose lower compression is
-  compact and the meet of cuts whose upper compression is compact.
+* the compact boundaries (boundary_ul): the join U of cuts whose lower
+  compression of a is compact and the meet L of cuts whose upper
+  compression of b is compact.  A compression of a compact compression
+  is compact, so each is one first-compact scan over the corner cuts,
+  the join from the top down and the meet from the bottom up.
 
 A canonical node stores its compactness verdict and its column ends,
 each with the scan's hit there, so the questions of one decision share
 them and the zero test reads a's witness column off the hit.
 
-On all-integer nests the lower/upper compressions at different finite
-cuts differ by a finite-rank perturbation, so one probe cut decides all
-of them at once; on the natural-number basis every lower compression is
-a finite-rank matrix outright.
+How a corner at a limit cut is read lives in lower_corner and
+upper_corner alone, which the compact question and both weak routes go
+through.  On all-integer nests the lower/upper compressions at different
+finite cuts differ by a finite-rank perturbation, so the top (and, on Z,
+the bottom) reads them all at the one probe cut 0; on the
+natural-number basis every lower compression is a finite-rank matrix
+outright.
 """
 
 from __future__ import annotations
@@ -374,48 +380,54 @@ def boundary_rq(task):
     return r, q
 
 
-def _classify_compression(T: OperatorExpr, what: str) -> str:
-    v = classify_compact(T)
-    if v.status == "Unknown":
-        raise UndecidableBoundary(f"{what}: {v.reason}")
-    return v.status
+# the limit cuts of an all-integer nest (its top, and the bottom on Z) are
+# the join and meet of finite cuts whose compressions differ by finite
+# rank, so their corners are read at this one finite cut
+_PROBE = NestCut(0.0)
 
 
-def join_of_compact_lower_corners(nest: Nest, a: OperatorExpr) -> NestCut:
-    """Join of cuts whose lower compression of a is compact."""
-    nest = make_nest(nest)
-    if nest.is_all:
+def lower_corner(nest: Nest, a: OperatorExpr, cut: NestCut) -> CompactVerdict:
+    """Compactness of the lower compression of a at a cut; at the top of an
+    all-integer nest, that of the finite cuts below it."""
+    if nest.is_all and cut == nest.top:
         if nest.basis == "N":
-            return nest.top  # every lower compression is a finite matrix
-        status = _classify_compression(compress_lower(a, NestCut(0.0)), "lower compression probe")
-        return nest.top if status == "Compact" else nest.bottom
-    values = list(nest.cut_values)
-    for v in reversed(values):
-        status = _classify_compression(compress_lower(a, NestCut(v)), f"lower compression at {v}")
-        if status == "Compact":
-            return NestCut(v)
-    return nest.bottom
+            return CompactVerdict("Compact", reason="every lower compression has finite rank")
+        cut = _PROBE
+    return classify_compact(compress_lower(a, cut))
 
 
-def meet_of_compact_upper_corners(nest: Nest, b: OperatorExpr) -> NestCut:
-    """Meet of cuts whose upper compression of b is compact."""
-    nest = make_nest(nest)
-    if nest.is_all:
-        status = _classify_compression(compress_upper(b, NestCut(0.0)), "upper compression probe")
-        return nest.bottom if status == "Compact" else nest.top
-    values = list(nest.cut_values)
-    for v in values:
-        status = _classify_compression(compress_upper(b, NestCut(v)), f"upper compression at {v}")
-        if status == "Compact":
-            return NestCut(v)
-    return nest.top
+def upper_corner(nest: Nest, b: OperatorExpr, cut: NestCut) -> CompactVerdict:
+    """Compactness of the upper compression of b at a cut; at the bottom of
+    the all-integer nest on Z, that of the finite cuts above it."""
+    if nest.is_all and nest.basis == "Z" and cut == nest.bottom:
+        cut = _PROBE
+    return classify_compact(compress_upper(b, cut))
+
+
+def _first_compact(corner, nest: Nest, T: OperatorExpr, cuts: list, side: str) -> NestCut:
+    """The first of the cuts whose corner is compact, or the last cut: the
+    empty join is bottom and the empty meet top.  A compression of a compact
+    compression is compact, so the first compact corner scanning down is the
+    join of all of them, and scanning up the meet."""
+    for cut in cuts:
+        v = corner(nest, T, cut)
+        if v.status == "Unknown":
+            where = "probe" if nest.is_all else f"at {cut.value}"
+            raise UndecidableBoundary(f"{side} compression {where}: {v.reason}")
+        if v.status == "Compact":
+            return cut
+    return cuts[-1]
 
 
 def boundary_ul(task):
-    """(join of compact-lower cuts of a, meet of compact-upper cuts of b)."""
+    """(U, L): the join of the cuts where a's lower corner is compact and the
+    meet of those where b's upper corner is, over the corner cuts: every cut
+    of an explicit nest, and bottom and top of an all-integer one."""
+    nest = task.nest
+    cuts = [nest.bottom, nest.top] if nest.is_all else [NestCut(v) for v in nest.cut_values]
     return (
-        join_of_compact_lower_corners(task.nest, task.a),
-        meet_of_compact_upper_corners(task.nest, task.b),
+        _first_compact(lower_corner, nest, task.a, cuts[::-1], "lower"),
+        _first_compact(upper_corner, nest, task.b, cuts, "upper"),
     )
 
 
@@ -451,13 +463,6 @@ def limit_restricted_norm(T: OperatorExpr, direction: int) -> NormInterval:
 
 # ---------------------------------------------------------------------------
 # numeric essential-norm evidence (never upgrades a symbolic verdict)
-
-
-def default_window(nest: Nest, half: int = 32):
-    nest = make_nest(nest)
-    if nest.basis == "N":
-        return (1, 2 * half)
-    return (-half, half)
 
 
 def ess_norm_proxy(nest, T: OperatorExpr, windows=(128, 256, 512), k: int = 10) -> dict:

@@ -25,16 +25,8 @@ from .operators import canonicalize, diag, entry, norm_bound, render
 from .rules import rule_harmonic
 
 PAIRING_RTOL = 1e-10
-
-
-def _witness_window(nest, count: int, window=None):
-    if window is not None:
-        return window
-    w = max(512, 8 * count)
-    if nest.basis == "N":
-        return (1, w)
-    half = w // 2
-    return (-half, half)
+REFUTER_BUDGET = 200_000  # (r, s) probes counterexample_refuter checks before it gives up
+RANK_TOL = 1e-8  # a singular value counts toward the rank above RANK_TOL * max(sigma_1, 1)
 
 
 def _rendered(task: MultiplicationTask, window):
@@ -136,7 +128,8 @@ def greedy_subsequence(task: MultiplicationTask, eps: float, count: int, window=
     """
     if eps <= 0 or count < 1:
         raise MalformedSpec(f"need eps > 0 and count >= 1, got {eps}, {count}")
-    window = _witness_window(task.nest, count, window)
+    if window is None:
+        window = task.nest.window(max(256, 4 * count))
     lo, _hi = window
     ma, mb = _rendered(task, window)
     cols = column_candidates(ma, lo, eps)
@@ -268,7 +261,7 @@ def representation_residual(pairs, b, r: int, s: int) -> RefuterWitness:
     return RefuterWitness(r, s, float(target), float(approx), float(resid), float(thr))
 
 
-def counterexample_refuter(pairs, b=None, r_max: int = 512, budget: int = 200_000) -> RefuterWitness:
+def counterexample_refuter(pairs, b=None, r_max: int = 512) -> RefuterWitness:
     """Smallest-first search for a probe where the representation fails.
 
     pairs is a finite list of (c, d) operator pairs claimed to satisfy
@@ -292,8 +285,8 @@ def counterexample_refuter(pairs, b=None, r_max: int = 512, budget: int = 200_00
         ds = [entry(d, r, r) for _c, d in pairs]
         for s in range(1, r):
             checked += 1
-            if checked > budget:
-                raise WitnessBudgetExhausted(f"no refuting probe within {budget} checks")
+            if checked > REFUTER_BUDGET:
+                raise WitnessBudgetExhausted(f"no refuting probe within {REFUTER_BUDGET} checks")
             approx = sum(ds[i] * cde(i, r - s) for i in range(len(pairs)))
             resid = abs(target - approx)
             if resid >= thr:
@@ -301,7 +294,7 @@ def counterexample_refuter(pairs, b=None, r_max: int = 512, budget: int = 200_00
     raise WitnessBudgetExhausted(f"no refuting probe with r <= {r_max}")
 
 
-def stabilization_analysis(pairs, scan: int = 64, rank_tol: float = 1e-8) -> dict:
+def stabilization_analysis(pairs, scan: int = 64) -> dict:
     """Rank profile of the span of diagonal-profile differences.
 
     The vectors (c_i diagonal at n)_i change along n; their differences
@@ -320,7 +313,7 @@ def stabilization_analysis(pairs, scan: int = 64, rank_tol: float = 1e-8) -> dic
             continue
         sv = singular_values(d, k=min(d.shape))
         top = max(sv[0], 1.0)
-        ranks.append(int(sum(1 for s in sv if s > rank_tol * top)))
+        ranks.append(int(sum(1 for s in sv if s > RANK_TOL * top)))
     final = ranks[-1] if ranks else 0
     stab = next((n for n, rk in zip(range(2, scan + 1), ranks) if rk == final), 2)
     return {"pairs": l, "ranks": ranks, "final_rank": final, "stabilized_at": stab}

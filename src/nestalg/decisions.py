@@ -11,14 +11,15 @@ The three main questions:
   cuts; a nonzero verdict always carries a concrete rank-one input whose
   image has a certified positive norm.
 * is it compact?  Decided from compactness of one lower compression of
-  a and one upper compression of b; on all-integer nests a single probe
-  compression decides all finite cuts at once because any two differ by
-  a finite-rank perturbation.
-* is it weakly compact?  Two independent routes: the boundary route
-  (compare the join/meet boundary projections, then inspect the
-  obstruction block or tail norm in the equal case) and the two-cut
-  route (search admissible cut pairs for vanishing obstruction norms).
-  The two must agree whenever both decide; tests enforce that.
+  a and one upper compression of b, read through
+  compactness.lower_corner and upper_corner, which hold how a corner at
+  a limit cut of an all-integer nest is read.
+* is it weakly compact?  Two independent routes, both starting from the
+  compact boundaries (U, L) of compactness.boundary_ul: the boundary
+  route (compare U and L, then inspect the obstruction block or tail
+  norm in the equal case) and the two-cut route (search admissible cut
+  pairs for vanishing obstruction norms).  The two must agree whenever
+  both decide; tests enforce that.
 """
 
 from __future__ import annotations
@@ -28,17 +29,16 @@ from dataclasses import dataclass, field
 
 from .algebra import MultiplicationTask, rank_one_membership
 from .compactness import (
-    CompactVerdict,
     boundary_rq,
+    boundary_ul,
     classify_compact,
     col_end_hit,
     compress_lower,
     compress_upper,
-    default_window,
     first_nonzero_column,
-    join_of_compact_lower_corners,
     limit_restricted_norm,
-    meet_of_compact_upper_corners,
+    lower_corner,
+    upper_corner,
 )
 from .errors import UndecidableBoundary
 from .nests import NEG_INF, POS_INF, NestCut
@@ -64,6 +64,7 @@ from .operators import (
 from .rules import SCAN_BUDGET, bound_to_json, rule_geometric
 
 EPS_SCHEDULE = tuple(0.5**k for k in range(0, 21))
+NORM_WINDOW = 192  # indices of the window a block norm's lower bound is rendered on
 
 
 def _interval_json(iv: NormInterval) -> dict:
@@ -164,30 +165,13 @@ def _verdict_json(v) -> dict:
     return out
 
 
-def _a_side_verdict(task: MultiplicationTask, q: NestCut):
-    nest = task.nest
-    if q.value == POS_INF and nest.is_all:
-        if nest.basis == "N":
-            return CompactVerdict("Compact", reason="every lower compression has finite rank")
-        return classify_compact(compress_lower(task.a, NestCut(0.0)))
-    return classify_compact(compress_lower(task.a, q))
-
-
-def _b_side_verdict(task: MultiplicationTask, r: NestCut):
-    nest = task.nest
-    if r == nest.bottom and nest.is_all and nest.basis == "Z":
-        return classify_compact(compress_upper(task.b, NestCut(0.0)))
-    return classify_compact(compress_upper(task.b, r))
-
-
 def mult_compact_decision(task: MultiplicationTask) -> MultVerdict:
     """Compactness of x -> a x b.
 
     A nonzero multiplication is compact exactly when the lower
     compression of a at the range cover cut and the upper compression of
-    b at the annihilator cut are both compact; when the cover cut is an
-    unattained limit the compression condition is evaluated at a probe
-    cut, which is equivalent by finite-rank perturbation invariance.
+    b at the annihilator cut are both compact; lower_corner and
+    upper_corner read a limit cut.
     """
     try:
         r, q = boundary_rq(task)
@@ -201,8 +185,8 @@ def mult_compact_decision(task: MultiplicationTask) -> MultVerdict:
             {"annihilator_cut": bound_to_json(r.value), "range_cover_cut": bound_to_json(q.value)},
         )
     try:
-        av = _a_side_verdict(task, q)
-        bv = _b_side_verdict(task, r)
+        av = lower_corner(task.nest, task.a, q)
+        bv = upper_corner(task.nest, task.b, r)
     except UndecidableBoundary as exc:
         return MultVerdict("compact", "Unknown", str(exc))
     detail = {
@@ -229,18 +213,18 @@ def _is_zero_block(T: OperatorExpr) -> bool:
     return isinstance(canonicalize(T), ZeroOp)
 
 
-def _window_near(nest, lo_anchor: float, hi_anchor: float, width: int = 192):
+def _window_near(nest, lo_anchor: float, hi_anchor: float):
     if math.isfinite(lo_anchor) and math.isfinite(hi_anchor):
         lo = int(lo_anchor)
-        hi = min(int(hi_anchor), lo + width - 1)
+        hi = min(int(hi_anchor), lo + NORM_WINDOW - 1)
         return lo, hi
     if math.isfinite(lo_anchor):
         lo = int(lo_anchor)
-        return lo, lo + width - 1
+        return lo, lo + NORM_WINDOW - 1
     if math.isfinite(hi_anchor):
         hi = int(hi_anchor)
-        return hi - width + 1, hi
-    return default_window(nest, width // 2)
+        return hi - NORM_WINDOW + 1, hi
+    return nest.window(NORM_WINDOW // 2)
 
 
 def _block_norm(nest, T: OperatorExpr, lo_anchor: float = NEG_INF, hi_anchor: float = POS_INF) -> NormInterval:
@@ -308,8 +292,7 @@ def _weak_decision(task: MultiplicationTask) -> MultVerdict:
     if task.is_zero_pair():
         return MultVerdict("weak", "WeaklyCompact", "a symbol is zero, the map is zero")
     try:
-        u = join_of_compact_lower_corners(task.nest, task.a)
-        l = meet_of_compact_upper_corners(task.nest, task.b)
+        u, l = boundary_ul(task)
     except UndecidableBoundary as exc:
         return MultVerdict("weak", "Unknown", f"compact boundary not certified: {exc}")
     detail = {"upper_join": bound_to_json(u.value), "lower_meet": bound_to_json(l.value)}
@@ -394,32 +377,6 @@ def _pair_obstruction(task: MultiplicationTask, p1: NestCut, p2: NestCut) -> Nor
     return _min_interval(a_iv, b_iv)
 
 
-def _compact_cut_sets(task: MultiplicationTask):
-    """Cuts whose lower compression of a / upper compression of b is compact.
-
-    Explicit nests enumerate; all-integer nests return descriptors since
-    the finite cuts behave identically by perturbation invariance.
-    Returns (a_set, b_set) where each is a dict with the key "cuts"
-    (explicit list) or "finite_all" (bool).
-    """
-    nest = task.nest
-    if nest.is_all:
-        if nest.basis == "N":
-            a_fin = True
-        else:
-            a_fin = classify_compact(compress_lower(task.a, NestCut(0.0))).status == "Compact"
-        b_fin = classify_compact(compress_upper(task.b, NestCut(0.0))).status == "Compact"
-        return {"finite_all": a_fin}, {"finite_all": b_fin}
-    a_cuts, b_cuts = [], []
-    for v in nest.cut_values:
-        c = NestCut(v)
-        if classify_compact(compress_lower(task.a, c)).status == "Compact":
-            a_cuts.append(c)
-        if classify_compact(compress_upper(task.b, c)).status == "Compact":
-            b_cuts.append(c)
-    return {"cuts": a_cuts}, {"cuts": b_cuts}
-
-
 def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
     """Weak compactness via admissible cut pairs.
 
@@ -447,30 +404,31 @@ def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
             "weak2", "WeaklyCompact", "a is compact; the top pair has empty middle block", detail
         )
     try:
-        a_set, b_set = _compact_cut_sets(task)
+        u, l = boundary_ul(task)
     except UndecidableBoundary as exc:
         return MultVerdict("weak2", "Unknown", f"cut classification failed: {exc}")
     families = []  # (label, NormInterval)
-    if "cuts" in a_set:
-        a_cuts = a_set["cuts"]
-        b_cuts = b_set["cuts"]
-        common = {c.value for c in a_cuts} & {c.value for c in b_cuts}
-        if common:
-            detail["pair"] = {"p1": bound_to_json(max(common)), "p2": bound_to_json(max(common))}
+    if not nest.is_all:
+        # a compression of a compact compression is compact, so a's lower
+        # corners are compact exactly at the cuts <= U and b's upper
+        # corners exactly at the cuts >= L; U is the largest common cut
+        if u.value >= l.value:
+            detail["pair"] = {"p1": bound_to_json(u.value), "p2": bound_to_json(u.value)}
             return MultVerdict(
                 "weak2", "WeaklyCompact", "a common cut has both compressions compact", detail
             )
-        for p1 in a_cuts:
-            for p2 in b_cuts:
-                if p1.value <= p2.value:
-                    families.append(
-                        (
-                            {"p1": bound_to_json(p1.value), "p2": bound_to_json(p2.value)},
-                            _pair_obstruction(task, p1, p2),
-                        )
+        for p1 in (NestCut(v) for v in nest.cut_values if v <= u.value):
+            for p2 in (NestCut(v) for v in nest.cut_values if v >= l.value):
+                families.append(
+                    (
+                        {"p1": bound_to_json(p1.value), "p2": bound_to_json(p2.value)},
+                        _pair_obstruction(task, p1, p2),
                     )
+                )
     else:
-        if a_set["finite_all"] and b_set["finite_all"]:
+        # on an all-integer nest every finite cut's corner is read at once
+        a_fin, b_fin = u == nest.top, l == nest.bottom
+        if a_fin and b_fin:
             detail["pair"] = {"p1": 0, "p2": 0}
             return MultVerdict(
                 "weak2", "WeaklyCompact", "every finite cut has both compressions compact", detail
@@ -479,19 +437,17 @@ def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
         families.append(
             ({"p1": "-inf", "p2": "inf"}, _pair_obstruction(task, nest.bottom, nest.top))
         )
-        if a_set["finite_all"]:
+        if a_fin:
             # P1 finite and large, P2 = top
             iv = _min_interval(
                 limit_restricted_norm(task.a, +1), limit_restricted_norm(task.b, +1)
             )
             families.append(({"p1": "finite->inf", "p2": "inf"}, iv))
-        if b_set["finite_all"]:
+        if b_fin:
             iv = _min_interval(
                 limit_restricted_norm(task.a, -1), limit_restricted_norm(task.b, -1)
             )
             families.append(({"p1": "-inf", "p2": "finite->-inf"}, iv))
-    if not families:
-        return MultVerdict("weak2", "Unknown", "no admissible cut pair was found", detail)
     best = families[0][1]
     best_label = families[0][0]
     for label, iv in families[1:]:
@@ -535,7 +491,7 @@ def range_in_compacts_sampler(task: MultiplicationTask, samples: int = 100, seed
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    lo, hi = default_window(task.nest, 8)
+    lo, hi = task.nest.window(8)
     probes = [identity()]
     idx = list(range(lo, hi + 1))
     for i in idx[:4]:

@@ -149,7 +149,7 @@ def _diag_floor(a: OperatorExpr, nest: Nest) -> float:
     c = canonicalize(a)
     if isinstance(c, ZeroOp):
         return 0.0
-    lo, hi = (1, 2 * DIAG_SCAN_HALF) if nest.basis == "N" else (-DIAG_SCAN_HALF, DIAG_SCAN_HALF)
+    lo, hi = nest.window(DIAG_SCAN_HALF)
     return max(abs(entry(c, i, i)) for i in range(lo, hi + 1))
 
 

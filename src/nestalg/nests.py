@@ -70,7 +70,7 @@ class Nest:
     @property
     def bottom(self) -> NestCut:
         # on N, indices start at 1, so the cut at 0 is the zero projection
-        return NestCut(0.0) if self.basis == "N" else NestCut(NEG_INF)
+        return NestCut(0.0 if self.basis == "N" else NEG_INF)
 
     @property
     def top(self) -> NestCut:
@@ -161,6 +161,10 @@ class Nest:
         return NestCut(float(v))
 
     # -- interval enumeration ------------------------------------------------
+
+    def window(self, half: int):
+        """The index window (1, 2 * half) on N and (-half, half) on Z."""
+        return (1, 2 * half) if self.basis == "N" else (-half, half)
 
     def interior_values(self) -> list:
         """Finite cut values above bottom, for explicit cut sets only."""

@@ -118,10 +118,6 @@ class RuledVector(Node):
 
     rule: SeqRule
 
-    @property
-    def square_summable(self):
-        return self.rule.is_square_summable()
-
     def norm_upper(self) -> float:
         return math.sqrt(self.rule.sq_total())
 
@@ -137,7 +133,7 @@ class RuledVector(Node):
 
 
 def make_vector(rule: SeqRule) -> RuledVector:
-    if rule.is_square_summable() is not True:
+    if not rule.is_square_summable():
         raise UnboundedRule(f"vector entries must be certified square-summable: {rule!r}")
     return RuledVector(rule)
 
@@ -246,7 +242,7 @@ def band(rule: SeqRule, offset: int) -> OperatorExpr:
 def rank_one(e: RuledVector, f: RuledVector) -> OperatorExpr:
     if e.rule.support.is_empty or f.rule.support.is_empty:
         return ZERO
-    if e.square_summable is not True or f.square_summable is not True:
+    if not (e.rule.is_square_summable() and f.rule.is_square_summable()):
         raise UnboundedRule("rank-one symbols must be certified square-summable")
     return RankOne(e, f)
 
@@ -433,7 +429,7 @@ def _pair_product(l: OperatorExpr, r: OperatorExpr) -> OperatorExpr:
             return ProductOp(l, r)
         if new_f.support.is_empty:
             return ZERO
-        if new_f.is_square_summable() is not True:
+        if not new_f.is_square_summable():
             return ProductOp(l, r)
         return RankOne(r.e, RuledVector(new_f))
     if isinstance(l, RankOne) and not isinstance(r, ProductOp):
@@ -444,7 +440,7 @@ def _pair_product(l: OperatorExpr, r: OperatorExpr) -> OperatorExpr:
             return ProductOp(l, r)
         if new_e.support.is_empty:
             return ZERO
-        if new_e.is_square_summable() is not True:
+        if not new_e.is_square_summable():
             return ProductOp(l, r)
         return RankOne(RuledVector(new_e), l.f)
     # a band scales the rows of a block and moves them by its offset, or

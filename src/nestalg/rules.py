@@ -18,7 +18,8 @@ questions used by the decision procedures:
             and underlies every noncompactness certificate, and a zero
             ceiling certifies that the values vanish there
   sq_tail   certified upper bound on the sum of r(i)^2 from an index
-            onward (may be +inf)
+            onward (may be +inf); a rule is square-summable exactly when
+            its two halves, sq_total, are finite
 
 Atoms give their own tails and combinators compose them, so each
 question about the asymptotics of a rule has one answer in one place.
@@ -162,6 +163,12 @@ def _no_env(n: int) -> float:
     return 0.0
 
 
+def _sq_times(s: float, t: float) -> float:
+    """s^2 * t for a bound t on a sum of squares: inf when t is, where the
+    product would be nan once s^2 underflows to 0."""
+    return POS_INF if t == POS_INF else s * s * t
+
+
 def _step(start: float, bound: float) -> Callable[[int], float]:
     """The envelope of a tail that equals its periodic part from start on
     and stays within bound of it before."""
@@ -276,8 +283,9 @@ class SeqRule(Node):
     def sq_tail(self, n: int, direction: int) -> float:
         raise NotImplementedError
 
-    def is_square_summable(self):
-        return None
+    def is_square_summable(self) -> bool:
+        """Whether sq_total() certifies a finite sum of squares."""
+        return math.isfinite(self.sq_total())
 
     def never_zero(self) -> bool:
         return False
@@ -316,9 +324,6 @@ class ConstRule(SeqRule):
 
     def sq_tail(self, n: int, direction: int) -> float:
         return 0.0 if self.c == 0.0 else POS_INF
-
-    def is_square_summable(self):
-        return self.c == 0.0
 
     def never_zero(self) -> bool:
         return self.c != 0.0
@@ -361,9 +366,6 @@ class IndicatorRule(SeqRule):
             return POS_INF
         return hi - lo + 1.0
 
-    def is_square_summable(self):
-        return math.isfinite(self.lo) and math.isfinite(self.hi)
-
     def sign_class(self):
         return "nonneg"
 
@@ -403,9 +405,6 @@ class PowerDecayRule(SeqRule):
         head = sum(self.value(i) ** 2 for i in range(n, 1))
         return head + self._one_sided(1)
 
-    def is_square_summable(self):
-        return self.p > 0.5
-
     def sign_class(self):
         return "nonneg"
 
@@ -437,9 +436,6 @@ class GeomDecayRule(SeqRule):
             return s ** n / (1.0 - s)
         head = sum(s ** abs(i) for i in range(n, 0))
         return head + 1.0 / (1.0 - s)
-
-    def is_square_summable(self):
-        return True
 
     def never_zero(self) -> bool:
         return True
@@ -477,9 +473,6 @@ class FiniteRule(SeqRule):
     def sq_tail(self, n: int, direction: int) -> float:
         return sum(v * v for j, v in self.entries if _side_contains(n, direction, j))
 
-    def is_square_summable(self):
-        return True
-
     def sign_class(self):
         if all(v >= 0.0 for _, v in self.entries):
             return "nonneg"
@@ -510,9 +503,6 @@ class CombRule(SeqRule):
 
     def sq_tail(self, n: int, direction: int) -> float:
         return POS_INF
-
-    def is_square_summable(self):
-        return False
 
     def sign_class(self):
         return "nonneg"
@@ -545,10 +535,7 @@ class ScaledRule(SeqRule):
         return Tail(P, lambda n: _up(abs(f) * t.env(n)))
 
     def sq_tail(self, n: int, direction: int) -> float:
-        return self.factor * self.factor * self.base.sq_tail(n, direction)
-
-    def is_square_summable(self):
-        return self.base.is_square_summable()
+        return _sq_times(self.factor, self.base.sq_tail(n, direction))
 
     def never_zero(self) -> bool:
         return self.base.never_zero()
@@ -591,9 +578,6 @@ class ShiftedRule(SeqRule):
 
     def sq_tail(self, n: int, direction: int) -> float:
         return self.base.sq_tail(n - self.offset, direction)
-
-    def is_square_summable(self):
-        return self.base.is_square_summable()
 
     def never_zero(self) -> bool:
         return self.base.never_zero()
@@ -645,21 +629,13 @@ class MaskedRule(SeqRule):
         return math.isfinite(self.hi if d > 0 else self.lo) or self.base._float_parts(d)
 
     def sq_tail(self, n: int, direction: int) -> float:
-        if direction > 0:
-            if n > self.hi:
-                return 0.0
-            return self.base.sq_tail(max(n, int(self.lo)) if math.isfinite(self.lo) else n, direction)
-        if n < self.lo:
+        lo, hi = (max(n, self.lo), self.hi) if direction > 0 else (self.lo, min(n, self.hi))
+        if lo > hi:
             return 0.0
-        return self.base.sq_tail(min(n, int(self.hi)) if math.isfinite(self.hi) else n, direction)
-
-    def is_square_summable(self):
-        if math.isfinite(self.lo) and math.isfinite(self.hi):
-            return True
-        base = self.base.is_square_summable()
-        if base:
-            return True
-        return None
+        # the base's bound from the window's near end, or, when the window
+        # ends that way, sup_abs^2 for each of its hi - lo + 1 indices
+        bound = self.base.sq_tail(int(lo if direction > 0 else hi), direction)
+        return min(bound, _sq_times(self.base.sup_abs(), hi - lo + 1.0))
 
     def sign_class(self):
         # masking only zeroes values outside the window
@@ -712,14 +688,9 @@ class ProductRule(SeqRule):
         return self.left.ceiling(d) == 0.0 or self.right.ceiling(d) == 0.0 or super()._floats_toward(d, t)
 
     def sq_tail(self, n: int, direction: int) -> float:
-        a = self.left.sup_abs() ** 2 * self.right.sq_tail(n, direction)
-        b = self.right.sup_abs() ** 2 * self.left.sq_tail(n, direction)
+        a = _sq_times(self.left.sup_abs(), self.right.sq_tail(n, direction))
+        b = _sq_times(self.right.sup_abs(), self.left.sq_tail(n, direction))
         return min(a, b)
-
-    def is_square_summable(self):
-        if self.left.is_square_summable() or self.right.is_square_summable():
-            return True
-        return None
 
     def never_zero(self) -> bool:
         return self.left.never_zero() and self.right.never_zero()
@@ -785,14 +756,6 @@ class SumRule(SeqRule):
         if a == POS_INF or b == POS_INF:
             return POS_INF
         return (math.sqrt(a) + math.sqrt(b)) ** 2
-
-    def is_square_summable(self):
-        ls, rs = self.left.is_square_summable(), self.right.is_square_summable()
-        if ls and rs:
-            return True
-        if (ls is True and rs is False) or (ls is False and rs is True):
-            return False
-        return None
 
     def sign_class(self):
         ls, rs = self.left.sign_class(), self.right.sign_class()

@@ -66,16 +66,13 @@ SWEEP_NESTS = (
     {"basis": "Z", "cuts": "all"},
     {"basis": "N", "cuts": [3, 7]},
 )
-
-
-def _index_window(nest: Nest, half: int = 20):
-    if nest.basis == "N":
-        return 1, 2 * half
-    return -half, half
+GRAMMAR_HALF = 20  # the member grammar draws indices from nest.window(GRAMMAR_HALF)
+MEMBER_ATTEMPTS = 8  # draws random_member makes before it gives up
+ZERO_BIAS = 0.3  # share of random_member_pair draws built to annihilate
 
 
 def _random_rule(nest: Nest, rng):
-    lo, hi = _index_window(nest)
+    lo, hi = nest.window(GRAMMAR_HALF)
     k = int(rng.integers(0, 6))
     if k == 0:
         return rule_const(round(float(rng.uniform(0.2, 1.2)), 3))
@@ -101,7 +98,7 @@ def _admissible_col(nest: Nest, row: int, rng) -> int:
 
 
 def _random_leaf(nest: Nest, rng):
-    lo, hi = _index_window(nest)
+    lo, hi = nest.window(GRAMMAR_HALF)
     k = int(rng.integers(0, 6))
     if k == 0:
         return diag(_random_rule(nest, rng))
@@ -122,10 +119,10 @@ def _random_leaf(nest: Nest, rng):
     return op_scale(round(float(rng.uniform(0.25, 1.5)), 3), diag(_random_rule(nest, rng)))
 
 
-def random_member(nest, rng, max_leaves: int = 3, attempts: int = 8):
+def random_member(nest, rng, max_leaves: int = 3):
     """A seeded draw from the member grammar, certified by the membership test."""
     nest = make_nest(nest)
-    for _ in range(attempts):
+    for _ in range(MEMBER_ATTEMPTS):
         n = int(rng.integers(1, max_leaves + 1))
         t = op_sum(*(_random_leaf(nest, rng) for _ in range(n)))
         if alg_membership(nest, t).is_member:
@@ -133,11 +130,11 @@ def random_member(nest, rng, max_leaves: int = 3, attempts: int = 8):
     raise NestAlgError("member grammar failed to produce a certified member")
 
 
-def random_member_pair(nest, rng, zero_bias: float = 0.3):
-    """Two members; with the given probability, a pair built to annihilate."""
+def random_member_pair(nest, rng):
+    """Two members; with probability ZERO_BIAS, a pair built to annihilate."""
     nest = make_nest(nest)
-    if float(rng.random()) < zero_bias:
-        lo, hi = _index_window(nest)
+    if float(rng.random()) < ZERO_BIAS:
+        lo, hi = nest.window(GRAMMAR_HALF)
         m = int(rng.integers(lo + 2, hi - 6))
         gap = int(rng.integers(-2, 5))
         # columns of a start above m + gap, rows of b end at m
@@ -152,14 +149,10 @@ def random_member_pair(nest, rng, zero_bias: float = 0.3):
 # brute-force zero oracle
 
 
-def _oracle_window(nest: Nest, half: int = 32):
-    return (1, 2 * half) if nest.basis == "N" else (-half, half)
-
-
 def brute_force_zero(task: MultiplicationTask, half: int = 32, res: float = 0.0) -> bool:
     """True when every admissible rank-one input is annihilated on a window."""
     nest = task.nest
-    lo, hi = _oracle_window(nest, half)
+    lo, hi = nest.window(half)
     ma = render(task.a, lo, hi)
     mb = render(task.b, lo, hi)
     col_a = np.abs(ma).max(axis=0)  # column r of a carries mass
@@ -277,7 +270,7 @@ def _norm_lower_bound_row(tasks) -> dict:
     worst_gap = 0.0
     violations = []
     for task in tasks:
-        lo, hi = _oracle_window(task.nest)
+        lo, hi = task.nest.window(32)
         for side, op in (("a", task.a), ("b", task.b)):
             m = render(op, lo, hi)
             est = power_norm(m)

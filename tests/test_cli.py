@@ -56,6 +56,14 @@ def test_decide_question_subset(tmp_path):
     assert main(["decide", "--config", cfg]) == 0
 
 
+def test_decide_report_is_named_decide_unless_the_config_names_it(tmp_path, capsys):
+    unnamed = {k: v for k, v in FLAGSHIP.items() if k != "name"}
+    assert main(["decide", "--config", write_cfg(tmp_path, unnamed)]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "decide"
+    assert main(["decide", "--config", write_cfg(tmp_path, FLAGSHIP)]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "flagship"
+
+
 def test_missing_config_exits_one(capsys):
     rc = main(["decide"])
     assert rc == 1

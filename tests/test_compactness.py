@@ -17,6 +17,8 @@ from nestalg.compactness import (
     exact_col_lo,
     exact_row_hi,
     limit_restricted_norm,
+    lower_corner,
+    upper_corner,
 )
 from nestalg.errors import UndecidableBoundary
 from nestalg.nests import NestCut, make_nest
@@ -231,6 +233,35 @@ def test_boundary_rq_flagship():
     u, l = boundary_ul(task)
     assert u.value == np.inf
     assert l.value == 0.0
+
+
+def test_limit_cut_corners_read_the_finite_cuts():
+    n_all, z_all = make_nest({"basis": "N", "cuts": "all"}), make_nest({"basis": "Z", "cuts": "all"})
+    positive, nonpositive = diag(rule_indicator(1, None)), diag(rule_indicator(None, 0))
+    # on N every lower compression has finite rank, so the top is compact unread
+    v = lower_corner(n_all, identity(), n_all.top)
+    assert v.status == "Compact" and "finite rank" in v.reason
+    # N's bottom cut 0 is no limit: its upper compression is the operator itself
+    assert upper_corner(n_all, identity(), n_all.bottom).status == "NonCompact"
+    assert upper_corner(n_all, diag(rule_harmonic()), n_all.bottom).status == "Compact"
+    # the top of Z-all reads the lower compressions of the finite cuts, and
+    # its bottom their upper ones, whatever the operator itself is
+    assert classify_compact(positive).status == "NonCompact"
+    assert lower_corner(z_all, positive, z_all.top).status == "Compact"
+    assert lower_corner(z_all, identity(), z_all.top).status == "NonCompact"
+    assert classify_compact(nonpositive).status == "NonCompact"
+    assert upper_corner(z_all, nonpositive, z_all.bottom).status == "Compact"
+    assert upper_corner(z_all, identity(), z_all.bottom).status == "NonCompact"
+    # the other ends compress to zero
+    assert lower_corner(z_all, identity(), z_all.bottom).status == "Compact"
+    assert upper_corner(z_all, identity(), z_all.top).status == "Compact"
+    assert upper_corner(n_all, identity(), n_all.top).status == "Compact"
+    task = MultiplicationTask.build(z_all, positive, nonpositive)
+    assert boundary_ul(task) == (z_all.top, z_all.bottom)
+    # an Unknown corner stops the scan: a period past the scan budget
+    task = MultiplicationTask.build(z_all, diag(rule_sum(rule_comb(23, 0), rule_comb(29, 0))), identity())
+    with pytest.raises(UndecidableBoundary, match="lower compression probe: .*scan budget"):
+        boundary_ul(task)
 
 
 def test_boundary_detects_annihilation():

@@ -19,8 +19,9 @@ from nestalg.decisions import (
     quotient_verdict,
     range_in_compacts_sampler,
 )
-from nestalg.errors import NotInAlgebra
-from nestalg.nests import make_nest
+from nestalg.compactness import boundary_ul, classify_compact, compress_lower, compress_upper
+from nestalg.errors import NotInAlgebra, UndecidableBoundary
+from nestalg.nests import NestCut, make_nest
 from nestalg.operators import (
     RuledVector,
     band,
@@ -35,7 +36,15 @@ from nestalg.operators import (
     render,
 )
 from nestalg import rules as rule_module
-from nestalg.rules import rule_comb, rule_finite, rule_geometric, rule_indicator, rule_scale, rule_sum
+from nestalg.rules import (
+    bound_to_json,
+    rule_comb,
+    rule_finite,
+    rule_geometric,
+    rule_indicator,
+    rule_scale,
+    rule_sum,
+)
 from nestalg.scenarios import DEFAULT_QUESTIONS, SWEEP_NESTS, brute_force_zero, random_member_pair
 
 
@@ -228,6 +237,63 @@ def test_compact_implies_weak_on_catalog():
         if mult_compact_decision(task).status == "Compact":
             v = mult_weak_decision(task)
             assert v.status in ("WeaklyCompact", "Unknown"), spec.name
+
+
+def _weak2_tasks():
+    """The catalog tasks, seeded member pairs of each sweep nest, and a pair on
+    an explicit Z nest whose compact corners meet at a cut though neither
+    symbol is compact."""
+    tasks = [build_task(spec) for spec in TASK_SPECIMENS]
+    rng = np.random.default_rng(29)
+    for spec in SWEEP_NESTS:
+        nest = make_nest(spec)
+        for _ in range(20):
+            tasks.append(MultiplicationTask.build(nest, *random_member_pair(nest, rng), require_membership=False))
+    z_cuts = make_nest({"basis": "Z", "cuts": [-2, 0, 3]})
+    tasks.append(MultiplicationTask.build(z_cuts, diag(rule_indicator(1, None)), diag(rule_indicator(None, -1))))
+    return tasks
+
+
+def test_weak2_reads_the_compact_boundaries():
+    met = 0
+    for task in _weak2_tasks():
+        v = mult_weak_decision_2proj(task)
+        if task.is_zero_pair() or "Compact" in (v.detail["a_class"], v.detail["b_class"]):
+            continue  # decided before the cut scan
+        try:
+            u, l = boundary_ul(task)
+        except UndecidableBoundary:
+            assert v.status == "Unknown" and v.reason.startswith("cut classification failed"), v.reason
+            continue
+        if task.nest.is_all:
+            continue
+        # a compression of a compact compression is compact: a's compact
+        # lower corners are the cuts <= U, b's compact upper corners those >= L
+        cuts = [NestCut(c) for c in task.nest.cut_values]
+        lower = {c: classify_compact(compress_lower(task.a, c)).status for c in cuts}
+        upper = {c: classify_compact(compress_upper(task.b, c)).status for c in cuts}
+        assert all(lower[c] != ("Compact" if c > u else "NonCompact") for c in cuts)
+        assert all(upper[c] != ("Compact" if c < l else "NonCompact") for c in cuts)
+        common = [c for c in cuts if lower[c] == upper[c] == "Compact"]
+        if u.value >= l.value:
+            assert max(common) == u
+            assert v.status == "WeaklyCompact"
+            assert v.detail["pair"] == {"p1": bound_to_json(u.value), "p2": bound_to_json(u.value)}
+            met += 1
+        else:
+            assert not common and "obstruction" in v.detail
+    assert met >= 1
+
+
+@pytest.mark.parametrize("spec", [{"basis": "Z", "cuts": "all"}, {"basis": "N", "cuts": [3, 7]}])
+def test_weak2_is_unknown_where_a_corner_is_unknown(spec):
+    # the lower corners of a band whose period lcm(23, 29) exceeds the scan
+    # budget resist classification; neither route may read them as noncompact
+    a = diag(rule_sum(rule_comb(23, 0), rule_comb(29, 0)))
+    task = MultiplicationTask.build(make_nest(spec), a, identity())
+    assert mult_weak_decision(task).status == "Unknown"
+    v = mult_weak_decision_2proj(task)
+    assert v.status == "Unknown" and "scan budget" in v.reason
 
 
 def _rank_one(col_table, row_table):

@@ -77,6 +77,11 @@ def test_cuts_in_window(n_all, n_explicit):
     assert [c.value for c in n_explicit.cuts_in_window(0, 6)] == [0.0, 3.0]
 
 
+def test_window_convention(n_all, n_explicit, z_all):
+    assert n_all.window(3) == n_explicit.window(3) == (1, 6)
+    assert z_all.window(3) == (-3, 3)
+
+
 def test_json_round_trip(n_explicit, z_all):
     assert make_nest(n_explicit.to_json()) == n_explicit
     assert make_nest(z_all.to_json()) == z_all

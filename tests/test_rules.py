@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nestalg.errors import SchemaError, UnknownSupport
+from nestalg.operators import basis_vector, make_vector, norm_bound, rank_one
 from nestalg.rules import (
     ROUNDING_SLACK,
     Support,
@@ -248,18 +249,6 @@ def test_shift_moves_values(off, table):
         assert shifted.value(i) == base.value(i - off)
 
 
-@given(
-    st.floats(min_value=0.1, max_value=0.9, allow_nan=False),
-    st.integers(min_value=0, max_value=12),
-)
-@settings(max_examples=60)
-def test_geometric_sq_tail_bounds_are_sound(ratio, n):
-    g = rule_geometric(ratio)
-    # inclusive square tail dominates any finite partial sum
-    partial = sum(g.value(i) ** 2 for i in range(n, n + 40))
-    assert g.sq_tail(n, +1) >= partial - 1e-12
-
-
 @given(finite_rules, finite_rules)
 def test_rule_sum_is_pointwise(t1, t2):
     a, b = rule_finite(t1), rule_finite(t2)
@@ -289,6 +278,28 @@ tail_rules = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+@given(st.one_of(tail_rules, finite_rules.map(rule_finite)), st.integers(-12, 12))
+@example(rule_mask(rule_comb(3, 0), 0, 10), 4)  # a finite window over a plateau
+@example(rule_geometric(0.9), 0)
+@settings(max_examples=300, deadline=None)
+def test_sq_tail_bounds_are_sound(rule, n):
+    # sq_tail(n, d) bounds the sum of value(i)**2 over the indices from n on
+    # toward d, so it dominates the sum over 200 of them in either direction
+    for d in (+1, -1):
+        partial = sum(rule.value(n + d * k) ** 2 for k in range(200))
+        assert partial <= rule.sq_tail(n, d) * (1.0 + 1e-12)
+    assert rule.is_square_summable() == math.isfinite(rule.sq_tail(0, -1) + rule.sq_tail(1, +1))
+
+
+def test_a_finite_window_over_a_plateau_is_square_summable():
+    # comb(3, 0) on 0..10 has four unit entries: the window, not the comb's
+    # infinite sum of squares, bounds the norm of a rank-one built on it
+    r = rule_mask(rule_comb(3, 0), 0, 10)
+    assert r.sq_total() <= 11.0 and r.is_square_summable()
+    assert rule_mask(rule_comb(3, 0), 0, None).sq_total() == math.inf
+    assert norm_bound(rank_one(make_vector(r), basis_vector(1))) <= math.sqrt(11.0)
 
 
 @given(
