@@ -394,12 +394,23 @@ def _merge_parts(parts: list) -> list:
         merged = band(bands[off], off)
         if not isinstance(merged, ZeroOp):
             out.append(merged)
-    if finites:
+    if len(finites) == 1:
+        out.append(_positive_zeros(finites[0]))
+    elif finites:
         merged_fm = _merge_finite(finites)
         if not isinstance(merged_fm, ZeroOp):
             out.append(merged_fm)
     out.extend(rest)
     return sorted(out, key=lambda p: p._part_key)
+
+
+def _positive_zeros(m: FiniteMatrix) -> FiniteMatrix:
+    """A lone block as the merge writes it: already trimmed, with its -0.0
+    entries written as +0.0."""
+    arr = m.as_array()
+    if not (np.signbit(arr) & (arr == 0.0)).any():
+        return m
+    return FiniteMatrix(m.row_lo, m.col_lo, tuple(map(tuple, (arr + 0.0).tolist())))
 
 
 def _merge_finite(ms: list) -> OperatorExpr:

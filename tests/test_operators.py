@@ -618,6 +618,17 @@ def test_signed_zeros_stay_apart_and_round_trip_bit_exact():
     assert rule_const(-0.0) is not rule_const(0.0)
 
 
+def test_a_lone_block_canonicalizes_with_no_negative_zero():
+    neg = finite_matrix(0, 0, [[1.0, -0.0, 2.0]])
+    pos = finite_matrix(0, 0, [[1.0, 0.0, 2.0]])
+    shift = band(rule_geometric(0.5), 3)
+    for T in (op_sum(neg, shift), op_product(identity(), neg), op_product(neg, identity())):
+        blocks = [p for p in flatten_sum(canonicalize(T)) if isinstance(p, FiniteMatrix)]
+        assert blocks == [pos]
+        assert not np.signbit(blocks[0].as_array()).any()
+    assert pos in flatten_sum(canonicalize(op_sum(shift, pos)))
+
+
 def test_dropped_nodes_leave_the_intern_table():
     gc.collect()
     before = len(rule_module._INTERNED)
