@@ -16,16 +16,19 @@ The three main questions:
   a limit cut of an all-integer nest is read.
 * is it weakly compact?  Two independent routes, both starting from the
   compact boundaries (U, L) of compactness.boundary_ul: the boundary
-  route (compare U and L, then inspect the obstruction block or tail
-  norm in the equal case) and the two-cut route (search admissible cut
-  pairs for vanishing obstruction norms).  The two must agree whenever
-  both decide; tests enforce that.
+  route (compare U and L, then read the limiting tail norm at the common
+  cut in the equal case) and the two-cut route (search admissible cut
+  pairs for a vanishing middle block; a block is nonzero exactly when an
+  exact entry of it is, and that entry bounds its norm from below).  The
+  two must agree whenever both decide; tests enforce that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .algebra import MultiplicationTask, rank_one_membership
 from .compactness import (
@@ -42,9 +45,10 @@ from .compactness import (
 )
 from .errors import UndecidableBoundary
 from .nests import NEG_INF, POS_INF, NestCut
-from .numerics import NormInterval, power_norm
+from .numerics import NormInterval
 from .operators import (
     OperatorExpr,
+    ProductOp,
     ZeroOp,
     adjoint,
     basis_vector,
@@ -52,19 +56,20 @@ from .operators import (
     col_support,
     entry,
     finite_matrix,
+    flatten_sum,
     identity,
     interval_proj,
     norm_bound,
     op_product,
     operator_to_json,
     rank_one,
-    render,
+    render_with_leakage,
     row_support,
 )
 from .rules import SCAN_BUDGET, bound_to_json, rule_geometric
 
 EPS_SCHEDULE = tuple(0.5**k for k in range(0, 21))
-NORM_WINDOW = 192  # indices of the window a block norm's lower bound is rendered on
+NORM_WINDOW = 192  # indices of the window a block is rendered on when no exact entry is found
 
 
 def _interval_json(iv: NormInterval) -> dict:
@@ -209,69 +214,6 @@ def mult_compact_decision(task: MultiplicationTask) -> MultVerdict:
 # weak compactness, boundary route
 
 
-def _is_zero_block(T: OperatorExpr) -> bool:
-    return isinstance(canonicalize(T), ZeroOp)
-
-
-def _window_near(nest, lo_anchor: float, hi_anchor: float):
-    if math.isfinite(lo_anchor) and math.isfinite(hi_anchor):
-        lo = int(lo_anchor)
-        hi = min(int(hi_anchor), lo + NORM_WINDOW - 1)
-        return lo, hi
-    if math.isfinite(lo_anchor):
-        lo = int(lo_anchor)
-        return lo, lo + NORM_WINDOW - 1
-    if math.isfinite(hi_anchor):
-        hi = int(hi_anchor)
-        return hi - NORM_WINDOW + 1, hi
-    return nest.window(NORM_WINDOW // 2)
-
-
-def _block_norm(nest, T: OperatorExpr, lo_anchor: float = NEG_INF, hi_anchor: float = POS_INF) -> NormInterval:
-    """Norm interval of a (possibly one-sided) restricted expression."""
-    C = canonicalize(T)
-    if isinstance(C, ZeroOp):
-        return NormInterval(0.0, 0.0)
-    hi = norm_bound(C)
-    cs, rs = col_support(C), row_support(C)
-    lo_a = max(lo_anchor, min(cs.lo, rs.lo))
-    hi_a = min(hi_anchor, max(cs.hi, rs.hi))
-    wlo, whi = _window_near(nest, lo_a, hi_a)
-    if nest.basis == "N":
-        wlo = max(wlo, 1)
-        whi = max(whi, wlo)
-    lo = power_norm(render(C, wlo, whi))
-    return NormInterval(lo, hi)
-
-
-def _right_tail_obstruction(task: MultiplicationTask, s: NestCut) -> NormInterval:
-    """inf over cuts P > s of ||a (P - s)||."""
-    nest = task.nest
-    succ = nest.succ(s)
-    if succ.value > s.value:
-        lo_c, hi_c = s.value, succ.value
-        block = op_product(task.a, interval_proj(lo_c, hi_c))
-        if _is_zero_block(block):
-            return NormInterval(0.0, 0.0)
-        return _block_norm(nest, block, lo_anchor=s.value + 1)
-    # s is a limit from above (integer-basis bottom): the infimum over
-    # P > s is the limiting norm of a on far-negative columns
-    return limit_restricted_norm(task.a, -1)
-
-
-def _left_tail_obstruction(task: MultiplicationTask, s: NestCut) -> NormInterval:
-    """inf over cuts P < s of ||(s - P) b||."""
-    nest = task.nest
-    pred = nest.pred(s)
-    if pred.value < s.value:
-        block = op_product(interval_proj(pred.value, s.value), task.b)
-        if _is_zero_block(block):
-            return NormInterval(0.0, 0.0)
-        return _block_norm(nest, block, hi_anchor=s.value)
-    # s is a limit from below (the top of an all-integer nest)
-    return limit_restricted_norm(task.b, +1)
-
-
 def mult_weak_decision(task: MultiplicationTask) -> MultVerdict:
     """Weak compactness via the two compact-boundary projections.
 
@@ -279,8 +221,9 @@ def mult_weak_decision(task: MultiplicationTask) -> MultVerdict:
     compact-upper cuts of b: U above L is always weakly compact; U below
     L never is; at equality the verdict depends on the side compressions
     at the common cut and, when exactly one of them is noncompact, on
-    whether the corresponding one-sided obstruction norm vanishes.  The
-    verdict is stored on the task, which quotient_verdict asks as well.
+    whether the one-sided obstruction, a limiting norm toward that cut,
+    vanishes.  The verdict is stored on the task, which quotient_verdict
+    asks as well.
     """
     v = task.__dict__.get("_weak")
     if v is None:
@@ -320,8 +263,16 @@ def _weak_decision(task: MultiplicationTask) -> MultVerdict:
     if av.status == "NonCompact" and bv.status == "NonCompact":
         detail["case"] = "both-corners-noncompact"
         return MultVerdict("weak", "NotWeaklyCompact", "both corner compressions are noncompact", detail)
+    # Exactly one corner is noncompact, so s is a limit cut.  On an explicit
+    # nest U and L are cuts whose corners are compact.  On an all-integer
+    # nest they are bottom or top, and U is top on N; a's lower corner at
+    # the bottom and b's upper corner at the top are zero.  So a noncompact
+    # b corner sits at the bottom of Z and a noncompact a corner at the top,
+    # and the obstruction, the infimum of the norms of the blocks next to
+    # s, is the limiting norm of the restriction toward s.
     if av.status == "Compact":
-        obstruction = _right_tail_obstruction(task, s)
+        # inf over cuts P > s of ||a (P - s)||, on far-negative columns
+        obstruction = limit_restricted_norm(task.a, -1)
         detail["case"] = "right-tail"
         detail["obstruction"] = _interval_json(obstruction)
         if obstruction.hi == 0.0:
@@ -336,7 +287,8 @@ def _weak_decision(task: MultiplicationTask) -> MultVerdict:
                 detail,
             )
         return MultVerdict("weak", "Unknown", "obstruction norm interval straddles zero", detail)
-    obstruction = _left_tail_obstruction(task, s)
+    # inf over cuts P < s of ||(s - P) b||, on far-positive rows
+    obstruction = limit_restricted_norm(task.b, +1)
     detail["case"] = "left-tail"
     detail["obstruction"] = _interval_json(obstruction)
     if obstruction.hi == 0.0:
@@ -354,27 +306,80 @@ def _weak_decision(task: MultiplicationTask) -> MultVerdict:
 # weak compactness, two-cut route
 
 
+def _window_near(nest, lo_anchor: float, hi_anchor: float):
+    if math.isfinite(lo_anchor) and math.isfinite(hi_anchor):
+        lo = int(lo_anchor)
+        hi = min(int(hi_anchor), lo + NORM_WINDOW - 1)
+        return lo, hi
+    if math.isfinite(lo_anchor):
+        lo = int(lo_anchor)
+        return lo, lo + NORM_WINDOW - 1
+    if math.isfinite(hi_anchor):
+        hi = int(hi_anchor)
+        return hi - NORM_WINDOW + 1, hi
+    return nest.window(NORM_WINDOW // 2)
+
+
+def _nonzero_entry(C: OperatorExpr, start: int):
+    """One nonzero entry (j, i, C[i, j]) of the nonzero product-free canonical
+    C: the hit at its first column, else at its last, else (columns reaching
+    both ways) the first nonzero column from start; None when the scans
+    fail."""
+    try:
+        for direction in (+1, -1):
+            hit = col_end_hit(C, direction)
+            if not isinstance(hit, float):
+                return hit
+        return first_nonzero_column(C, start, +1)
+    except UndecidableBoundary:
+        return None
+
+
+def _block_norm(nest, T: OperatorExpr, lo_anchor: float = NEG_INF, hi_anchor: float = POS_INF):
+    """Norm interval of a (possibly one-sided) restricted expression, with the
+    entry {"row", "col", "value"} its lower end reads, or None.
+
+    The upper end is norm_bound.  The lower end is |C[i, j]| <= ||C|| for
+    one nonzero entry of the canonical form C, which exists exactly when C
+    is nonzero.  When C has a product part, or the scans find no entry, C
+    is rendered on a window of NORM_WINDOW indices near the anchors, and
+    the lower end is the largest column norm of that render less its
+    leakage bound.
+    """
+    C = canonicalize(T)
+    if isinstance(C, ZeroOp):
+        return NormInterval(0.0, 0.0), None
+    hi = norm_bound(C)
+    cs, rs = col_support(C), row_support(C)
+    lo_a = max(lo_anchor, min(cs.lo, rs.lo))
+    hi_a = min(hi_anchor, max(cs.hi, rs.hi))
+    wlo, whi = _window_near(nest, lo_a, hi_a)
+    if nest.basis == "N":
+        wlo = max(wlo, 1)
+        whi = max(whi, wlo)
+    if not any(isinstance(p, ProductOp) for p in flatten_sum(C)):
+        hit = _nonzero_entry(C, wlo)
+        if hit is not None:
+            j, i, v = hit
+            return NormInterval(abs(v), hi), {"row": i, "col": j, "value": v}
+    m, leak = render_with_leakage(C, wlo, whi)
+    lo = float(np.linalg.norm(m, axis=0).max()) - leak
+    return NormInterval(max(lo, 0.0), hi), None
+
+
 def _min_interval(a: NormInterval, b: NormInterval) -> NormInterval:
     return NormInterval(min(a.lo, b.lo), min(a.hi, b.hi))
 
 
-def _pair_obstruction(task: MultiplicationTask, p1: NestCut, p2: NestCut) -> NormInterval:
-    """min(||a (P2 - P1)||, ||(P2 - P1) b||) for one admissible pair."""
+def _pair_obstruction(task: MultiplicationTask, p1: NestCut, p2: NestCut):
+    """min(||a (P2 - P1)||, ||(P2 - P1) b||) for one admissible pair, with the
+    entry its lower end reads and the block ("a" or "b") holding it, or None."""
     nest = task.nest
     block = interval_proj(p1.value, p2.value)
-    a_block = op_product(task.a, block)
-    b_block = op_product(block, task.b)
-    a_iv = (
-        NormInterval(0.0, 0.0)
-        if _is_zero_block(a_block)
-        else _block_norm(nest, a_block, lo_anchor=p1.value, hi_anchor=p2.value)
-    )
-    b_iv = (
-        NormInterval(0.0, 0.0)
-        if _is_zero_block(b_block)
-        else _block_norm(nest, b_block, lo_anchor=p1.value, hi_anchor=p2.value)
-    )
-    return _min_interval(a_iv, b_iv)
+    a_iv, a_at = _block_norm(nest, op_product(task.a, block), lo_anchor=p1.value, hi_anchor=p2.value)
+    b_iv, b_at = _block_norm(nest, op_product(block, task.b), lo_anchor=p1.value, hi_anchor=p2.value)
+    side, at = ("a", a_at) if a_iv.lo <= b_iv.lo else ("b", b_at)
+    return _min_interval(a_iv, b_iv), None if at is None else {"block": side, **at}
 
 
 def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
@@ -407,7 +412,7 @@ def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
         u, l = boundary_ul(task)
     except UndecidableBoundary as exc:
         return MultVerdict("weak2", "Unknown", f"cut classification failed: {exc}")
-    families = []  # (label, NormInterval)
+    families = []  # (label, NormInterval, the entry its lower end reads or None)
     if not nest.is_all:
         # a compression of a compact compression is compact, so a's lower
         # corners are compact exactly at the cuts <= U and b's upper
@@ -419,12 +424,8 @@ def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
             )
         for p1 in (NestCut(v) for v in nest.cut_values if v <= u.value):
             for p2 in (NestCut(v) for v in nest.cut_values if v >= l.value):
-                families.append(
-                    (
-                        {"p1": bound_to_json(p1.value), "p2": bound_to_json(p2.value)},
-                        _pair_obstruction(task, p1, p2),
-                    )
-                )
+                label = {"p1": bound_to_json(p1.value), "p2": bound_to_json(p2.value)}
+                families.append((label, *_pair_obstruction(task, p1, p2)))
     else:
         # on an all-integer nest every finite cut's corner is read at once
         a_fin, b_fin = u == nest.top, l == nest.bottom
@@ -434,27 +435,24 @@ def mult_weak_decision_2proj(task: MultiplicationTask) -> MultVerdict:
                 "weak2", "WeaklyCompact", "every finite cut has both compressions compact", detail
             )
         # the always-admissible extreme pair
-        families.append(
-            ({"p1": "-inf", "p2": "inf"}, _pair_obstruction(task, nest.bottom, nest.top))
-        )
+        families.append(({"p1": "-inf", "p2": "inf"}, *_pair_obstruction(task, nest.bottom, nest.top)))
         if a_fin:
             # P1 finite and large, P2 = top
             iv = _min_interval(
                 limit_restricted_norm(task.a, +1), limit_restricted_norm(task.b, +1)
             )
-            families.append(({"p1": "finite->inf", "p2": "inf"}, iv))
+            families.append(({"p1": "finite->inf", "p2": "inf"}, iv, None))
         if b_fin:
             iv = _min_interval(
                 limit_restricted_norm(task.a, -1), limit_restricted_norm(task.b, -1)
             )
-            families.append(({"p1": "-inf", "p2": "finite->-inf"}, iv))
-    best = families[0][1]
-    best_label = families[0][0]
-    for label, iv in families[1:]:
-        if iv.hi < best.hi:
-            best, best_label = iv, label
-    overall = NormInterval(min(f[1].lo for f in families), best.hi)
+            families.append(({"p1": "-inf", "p2": "finite->-inf"}, iv, None))
+    best_label, best, _ = min(families, key=lambda f: f[1].hi)
+    low_label, low, at = min(families, key=lambda f: f[1].lo)
+    overall = NormInterval(low.lo, best.hi)
     detail["obstruction"] = _interval_json(overall)
+    if at is not None:
+        detail["obstruction"]["entry"] = {**low_label, **at}
     detail["best_family"] = best_label
     detail["schedule"] = [
         {
@@ -488,8 +486,6 @@ def range_in_compacts_sampler(task: MultiplicationTask, samples: int = 100, seed
     multiplication maps everything into the compacts, so any certified
     noncompact image refutes a positive weak verdict.
     """
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     lo, hi = task.nest.window(8)
     probes = [identity()]

@@ -1,6 +1,7 @@
 """Decision procedures for two-sided multiplication maps, checked on the catalog."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from nestalg.algebra import MultiplicationTask
 from nestalg.catalog import TASK_SPECIMENS, find_task
 from nestalg.decisions import (
     EPS_SCHEDULE,
+    _block_norm,
     mult_compact_decision,
     mult_weak_decision,
     mult_weak_decision_2proj,
@@ -19,33 +21,45 @@ from nestalg.decisions import (
     quotient_verdict,
     range_in_compacts_sampler,
 )
-from nestalg.compactness import boundary_ul, classify_compact, compress_lower, compress_upper
+from nestalg.compactness import boundary_ul, classify_compact, compress_lower, compress_upper, limit_restricted_norm
 from nestalg.errors import NotInAlgebra, UndecidableBoundary
 from nestalg.nests import NestCut, make_nest
 from nestalg.operators import (
+    ProductOp,
     RuledVector,
     band,
     basis_vector,
+    canonicalize,
     diag,
+    entry,
     finite_matrix,
+    flatten_sum,
     identity,
+    interval_proj,
     op_product,
     op_sum,
     parse_operator,
     rank_one,
     render,
+    wshift,
 )
 from nestalg import rules as rule_module
 from nestalg.rules import (
+    bound_from_json,
     bound_to_json,
     rule_comb,
+    rule_const,
     rule_finite,
     rule_geometric,
+    rule_harmonic,
     rule_indicator,
+    rule_mask,
+    rule_power,
     rule_scale,
     rule_sum,
 )
 from nestalg.scenarios import DEFAULT_QUESTIONS, SWEEP_NESTS, brute_force_zero, random_member_pair
+from test_operators import operators
 
 
 def build_task(spec):
@@ -468,3 +482,152 @@ def test_weak_verdict_is_asked_once_per_task(monkeypatch):
     assert quotient_verdict(task).status == "Unknown"
     assert mult_weak_decision(task) is mult_weak_decision(task)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# obstruction blocks are read by one exact nonzero entry
+
+RICH_NESTS = (
+    {"basis": "N", "cuts": "all"},
+    {"basis": "Z", "cuts": "all"},
+    {"basis": "Z", "cuts": [-3, 0, 4]},
+    {"basis": "N", "cuts": [2, 9]},
+)
+
+
+def _rich_rule(rng):
+    """A rule of the rich grammar: combs, powers, geometrics, one-sided masked
+    constants, comb plus harmonic, and negated combs."""
+    m = int(rng.integers(2, 5))
+    comb = rule_comb(m, int(rng.integers(0, m)))
+    k = int(rng.integers(0, 6))
+    if k == 0:
+        return comb
+    if k == 1:
+        return rule_power(float(rng.choice([0.5, 1.0, 2.0])))
+    if k == 2:
+        return rule_geometric(float(rng.choice([0.5, -0.5])))
+    if k == 3:
+        cut = int(rng.integers(-4, 8))
+        return rule_mask(rule_const(0.75), cut, None) if rng.random() < 0.5 else rule_mask(rule_const(0.75), None, cut)
+    if k == 4:
+        return rule_sum(comb, rule_harmonic())
+    return rule_scale(comb, -0.5)
+
+
+def _rich_member(rng):
+    """A sum of one or two diagonals, lowering shifts or bands above the diagonal."""
+    leaves = []
+    for _ in range(int(rng.integers(1, 3))):
+        r, k = _rich_rule(rng), int(rng.integers(0, 3))
+        leaves.append(diag(r) if k == 0 else wshift(r, "lower") if k == 1 else band(r, -int(rng.integers(2, 5))))
+    return op_sum(*leaves)
+
+
+def _rich_tasks(count=80, seed=11):
+    rng = np.random.default_rng(seed)
+    return [
+        MultiplicationTask.build(make_nest(RICH_NESTS[i % len(RICH_NESTS)]), _rich_member(rng), _rich_member(rng))
+        for i in range(count)
+    ]
+
+
+def _weak_population():
+    """The catalog, the random pairs of test_weak_routes_agree_on_random_pairs
+    and a sample of the rich grammar."""
+    tasks = [build_task(spec) for spec in TASK_SPECIMENS]
+    rng = np.random.default_rng(7)
+    nests = [make_nest(s) for s in ({"basis": "N", "cuts": "all"}, {"basis": "Z", "cuts": "all"}, {"basis": "N", "cuts": [3, 7]})]
+    for _ in range(30):
+        nest = nests[int(rng.integers(len(nests)))]
+        tasks.append(MultiplicationTask.build(nest, *random_member_pair(nest, rng), require_membership=False))
+    return tasks + _rich_tasks()
+
+
+COMB_NEST = {"basis": "Z", "cuts": [0, 1000]}
+
+
+def test_weak2_sees_a_block_that_vanishes_on_its_render_window():
+    # a's columns are nonzero only at -393, -793, ...; a 192-wide window at
+    # the top of its support, [-191, 0], holds none of them
+    a = band(rule_mask(rule_comb(400, 7), None, 0), 0)
+    b = band(rule_mask(rule_comb(400, 7), 1, None), 0)
+    task = MultiplicationTask.build(make_nest(COMB_NEST), a, b)
+    assert mult_weak_decision(task).status == "NotWeaklyCompact"
+    v = mult_weak_decision_2proj(task)
+    assert v.status == "NotWeaklyCompact", v.reason
+    assert v.detail["obstruction"]["lo"] == 1.0
+
+
+def test_block_norm_reads_an_entry_beyond_the_render_window():
+    block = op_product(band(rule_comb(400, 0), 0), interval_proj(0.0, 1000.0))
+    iv, at = _block_norm(make_nest(COMB_NEST), block, lo_anchor=1.0)
+    assert iv.lo == 1.0 and iv.hi == 1.0
+    assert at == {"row": 400, "col": 400, "value": 1.0}
+
+
+def test_tail_cases_sit_at_limit_cuts():
+    # both corners at U = L are compact on an explicit nest, and on an
+    # all-integer nest a noncompact corner at U = L sits at a limit cut, so a
+    # tail obstruction is always a limiting norm, never a block
+    seen = 0
+    for task in _weak_population():
+        v = mult_weak_decision(task)
+        case = v.detail.get("case")
+        if case not in ("right-tail", "left-tail"):
+            continue
+        nest, s = task.nest, NestCut(float(v.detail["common_cut"]))
+        if case == "right-tail":
+            assert s == nest.bottom == nest.succ(s) and nest.basis == "Z"
+            want = limit_restricted_norm(task.a, -1)
+        else:
+            assert s == nest.top == nest.pred(s)
+            want = limit_restricted_norm(task.b, +1)
+        assert v.detail["obstruction"] == {"lo": want.lo, "hi": want.hi}
+        seen += 1
+    assert seen >= 10
+
+
+def test_weak2_obstruction_names_its_entry():
+    named = 0
+    for task in _weak_population():
+        v = mult_weak_decision_2proj(task)
+        at = v.detail.get("obstruction", {}).get("entry")
+        if at is None:
+            continue
+        p = interval_proj(bound_from_json(at["p1"]), bound_from_json(at["p2"]))
+        block = op_product(task.a, p) if at["block"] == "a" else op_product(p, task.b)
+        assert entry(canonicalize(block), at["row"], at["col"]) == at["value"] != 0.0
+        assert abs(at["value"]) == v.detail["obstruction"]["lo"]
+        named += v.status == "NotWeaklyCompact"
+    assert named >= 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators, st.integers(-6, 6), st.integers(0, 8), st.booleans())
+def test_block_norm_is_sound(T, p1, width, bounded):
+    p2 = p1 + width if bounded else math.inf
+    block = op_product(T, interval_proj(p1, p2))
+    iv, at = _block_norm(make_nest({"basis": "Z", "cuts": "all"}), block, lo_anchor=p1, hi_anchor=p2)
+    assert 0.0 <= iv.lo <= iv.hi
+    C = canonicalize(block)
+    if at is not None:
+        assert entry(C, at["row"], at["col"]) == at["value"] != 0.0 and iv.lo == abs(at["value"])
+        lo, hi = min(at["row"], at["col"]) - 3, max(at["row"], at["col"]) + 3
+        assert iv.lo <= np.linalg.norm(render(C, lo, hi), 2) * (1.0 + 1e-12)
+    if not any(isinstance(p, ProductOp) for p in flatten_sum(C)) and render(C, -40, 40).any():
+        assert iv.lo > 0.0
+
+
+def test_no_decision_route_runs_the_lanczos_iteration(monkeypatch):
+    from nestalg import decisions, numerics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision route called power_norm")
+
+    monkeypatch.setattr(numerics, "power_norm", refuse)
+    monkeypatch.setattr(decisions, "power_norm", refuse, raising=False)
+    tasks = [build_task(spec) for spec in TASK_SPECIMENS] + _rich_tasks(40, seed=3)
+    for task in tasks:
+        for question in DEFAULT_QUESTIONS:
+            QUESTION_FUNCS[question](task)
