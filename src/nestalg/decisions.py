@@ -322,14 +322,16 @@ def _window_near(nest, lo_anchor: float, hi_anchor: float):
 
 def _nonzero_entry(C: OperatorExpr, start: int):
     """One nonzero entry (j, i, C[i, j]) of the nonzero product-free canonical
-    C: the hit at its first column, else at its last, else (columns reaching
-    both ways) the first nonzero column from start; None when the scans
-    fail."""
-    try:
-        for direction in (+1, -1):
+    C: the hit at its first column, else at its last, else the first nonzero
+    column from start; None when every scan fails."""
+    for direction in (+1, -1):
+        try:
             hit = col_end_hit(C, direction)
-            if not isinstance(hit, float):
-                return hit
+        except UndecidableBoundary:
+            continue
+        if not isinstance(hit, float):
+            return hit
+    try:
         return first_nonzero_column(C, start, +1)
     except UndecidableBoundary:
         return None

@@ -21,7 +21,14 @@ from nestalg.decisions import (
     quotient_verdict,
     range_in_compacts_sampler,
 )
-from nestalg.compactness import boundary_ul, classify_compact, compress_lower, compress_upper, limit_restricted_norm
+from nestalg.compactness import (
+    boundary_ul,
+    classify_compact,
+    col_end_hit,
+    compress_lower,
+    compress_upper,
+    limit_restricted_norm,
+)
 from nestalg.errors import NotInAlgebra, UndecidableBoundary
 from nestalg.nests import NestCut, make_nest
 from nestalg.operators import (
@@ -190,18 +197,24 @@ def test_weak_routes_agree_on_catalog():
             assert v1.status == v2.status, spec.name
 
 
-def test_weak_routes_agree_on_random_pairs():
+def _random_pair_tasks():
     rng = np.random.default_rng(7)
     nests = [
         make_nest({"basis": "N", "cuts": "all"}),
         make_nest({"basis": "Z", "cuts": "all"}),
         make_nest({"basis": "N", "cuts": [3, 7]}),
     ]
-    checked = 0
+    tasks = []
     for _ in range(30):
         nest = nests[int(rng.integers(len(nests)))]
         a, b = random_member_pair(nest, rng)
-        task = MultiplicationTask.build(nest, a, b, require_membership=False)
+        tasks.append(MultiplicationTask.build(nest, a, b, require_membership=False))
+    return tasks
+
+
+def test_weak_routes_agree_on_random_pairs():
+    checked = 0
+    for task in _random_pair_tasks():
         v1 = mult_weak_decision(task)
         v2 = mult_weak_decision_2proj(task)
         if v1.status != "Unknown" and v2.status != "Unknown":
@@ -533,15 +546,8 @@ def _rich_tasks(count=80, seed=11):
 
 
 def _weak_population():
-    """The catalog, the random pairs of test_weak_routes_agree_on_random_pairs
-    and a sample of the rich grammar."""
-    tasks = [build_task(spec) for spec in TASK_SPECIMENS]
-    rng = np.random.default_rng(7)
-    nests = [make_nest(s) for s in ({"basis": "N", "cuts": "all"}, {"basis": "Z", "cuts": "all"}, {"basis": "N", "cuts": [3, 7]})]
-    for _ in range(30):
-        nest = nests[int(rng.integers(len(nests)))]
-        tasks.append(MultiplicationTask.build(nest, *random_member_pair(nest, rng), require_membership=False))
-    return tasks + _rich_tasks()
+    """The catalog, the random pairs and a sample of the rich grammar."""
+    return [build_task(spec) for spec in TASK_SPECIMENS] + _random_pair_tasks() + _rich_tasks()
 
 
 COMB_NEST = {"basis": "Z", "cuts": [0, 1000]}
@@ -564,6 +570,23 @@ def test_block_norm_reads_an_entry_beyond_the_render_window():
     iv, at = _block_norm(make_nest(COMB_NEST), block, lo_anchor=1.0)
     assert iv.lo == 1.0 and iv.hi == 1.0
     assert at == {"row": 400, "col": 400, "value": 1.0}
+
+
+def test_block_norm_scans_the_window_when_the_column_ends_are_not_certified(monkeypatch):
+    from nestalg import decisions
+
+    def refuse(*args):
+        raise AssertionError("the block was rendered")
+
+    monkeypatch.setattr(decisions, "render_with_leakage", refuse)
+    # the infinite end of 1/i^2 on the negative indices is not certified, so
+    # neither column end scan runs
+    T = band(rule_mask(rule_power(2.0), None, 0), -2)
+    with pytest.raises(UndecidableBoundary):
+        col_end_hit(canonicalize(T), +1)
+    iv, at = _block_norm(make_nest({"basis": "Z", "cuts": "all"}), T)
+    assert iv.lo == abs(at["value"]) > 0.0
+    assert entry(canonicalize(T), at["row"], at["col"]) == at["value"]
 
 
 def test_tail_cases_sit_at_limit_cuts():
